@@ -1,28 +1,26 @@
-//! Executor throughput: the persistent-worker fabric against the legacy
-//! chunked-respawn driver, plus the discrete-event simulator for context.
+//! Executor throughput: the persistent-worker fabric (the real-thread
+//! executor behind `ExecutorKind::Threaded`) against the discrete-event
+//! simulator.
 //!
-//! The headline comparison is **solve-to-tolerance** with the default
-//! `check_every = 10`: the chunked path pays a full thread-scope respawn,
-//! two whole-vector copies, and a synchronous host residual every ten
-//! global iterations, while the persistent path spawns its workers once
-//! and checks convergence concurrently. The system is deliberately small
-//! (n = 256, 16 blocks) so dispatch overhead dominates per-round compute
-//! — the regime the paper targets, where kernel-launch/host-sync cost is
-//! what block-asynchronous execution amortises away. Chunked respawn cost
-//! grows with the worker count (one spawn+join per worker per chunk);
-//! the persistent fabric pays it once per solve. The persistent path may
-//! run extra global iterations past the crossing point before the
-//! concurrent monitor lands its check — the paper's async tradeoff:
-//! more iterations, less wall time. Set
-//! `CRITERION_JSON=BENCH_executors.json` to record the numbers.
+//! The headline measurement is **solve-to-tolerance** with the default
+//! `check_every = 10` on a deliberately small system (n = 256, 16
+//! blocks), so dispatch overhead dominates per-round compute — the
+//! regime the paper targets, where kernel-launch/host-sync cost is what
+//! block-asynchronous execution amortises away. The persistent fabric
+//! spawns its workers once per solve and checks convergence
+//! concurrently; it may run extra global iterations past the crossing
+//! point before the monitor lands its check — the paper's async
+//! tradeoff: more iterations, less wall time. `BENCH_executors.json`
+//! keeps the historical comparison against the retired chunked-respawn
+//! executor. Set `CRITERION_JSON=BENCH_executors.json` to record the
+//! numbers.
 
 use crate::{bench_partition, bench_system};
 use abr_core::{AsyncBlockSolver, ExecutorKind, SolveOptions};
 use abr_gpu::{SimOptions, ThreadedOptions};
 use criterion::{black_box, BenchmarkId, Criterion};
 
-/// Solve-to-tolerance: chunked-respawn vs persistent at equal worker
-/// counts — the acceptance comparison of the persistent executor.
+/// Solve-to-tolerance on the persistent fabric at two worker counts.
 pub fn bench_solve_to_tolerance(c: &mut Criterion) {
     let (a, b, x0) = bench_system(16); // n = 256
     let p = bench_partition(a.n_rows(), 16);
@@ -35,22 +33,13 @@ pub fn bench_solve_to_tolerance(c: &mut Criterion) {
     let mut group = c.benchmark_group("executors_solve_1e-8");
     group.sample_size(10);
     for workers in [8usize, 16] {
-        let t_opts = ThreadedOptions { n_workers: workers, snapshot_rounds: false };
-        let chunked = AsyncBlockSolver {
-            executor: ExecutorKind::ThreadedChunked(t_opts.clone()),
-            ..AsyncBlockSolver::async_k(5)
-        };
         let persistent = AsyncBlockSolver {
-            executor: ExecutorKind::Threaded(t_opts),
+            executor: ExecutorKind::Threaded(ThreadedOptions {
+                n_workers: workers,
+                snapshot_rounds: false,
+            }),
             ..AsyncBlockSolver::async_k(5)
         };
-        group.bench_with_input(
-            BenchmarkId::new("chunked_respawn", workers),
-            &workers,
-            |bch, _| {
-                bch.iter(|| black_box(chunked.solve(&a, &b, &x0, &p, &opts).expect("solve")))
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("persistent", workers),
             &workers,
@@ -62,8 +51,9 @@ pub fn bench_solve_to_tolerance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fixed global-iteration budget across all three fabrics (the original
-/// throughput comparison, kept for continuity).
+/// Fixed global-iteration budget on both fabrics (the original
+/// throughput comparison, kept for continuity; the `threads` rows run the
+/// persistent executor).
 pub fn bench_fixed_budget(c: &mut Criterion) {
     let (a, b, x0) = bench_system(60);
     let p = bench_partition(a.n_rows(), 120);

@@ -30,7 +30,8 @@ use abr_core::{LocalSweep, ResidualMonitor};
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::RoundRobin;
 use abr_gpu::{
-    PersistentExecutor, PersistentOptions, PersistentWorkspace, ResidualSlots, ShardPlan,
+    PersistentExecutor, PersistentOptions, PersistentWorkspace, ResidualSlots, RunSession,
+    ShardPlan,
 };
 use abr_sparse::gen::fv_stencil;
 use abr_sparse::{BlockPlan, CsrMatrix, ParContext, RowPartition, StencilDescriptor};
@@ -87,7 +88,7 @@ fn solve_once(
     x.clear();
     x.resize(a.n_rows(), 0.0);
     let mut schedule = RoundRobin;
-    let (_, report) = exec.run_sharded(
+    let (_, report) = exec.run_session(
         kernel,
         x,
         MAX_ROUNDS,
@@ -95,8 +96,7 @@ fn solve_once(
         &AllowAll,
         &mut monitor,
         ws,
-        shards,
-        None,
+        RunSession { shards, ..RunSession::default() },
     );
     let stopped = report.stopped_at.expect("scale solve must converge within the budget");
     let mut rbuf = monitor.into_scratch();

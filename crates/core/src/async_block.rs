@@ -22,10 +22,9 @@ use crate::convergence::{check_system, relative_residual_with, SolveOptions, Sol
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
 use abr_gpu::{
-    BlockKernel, BlockScratch, CancelToken, ConvergenceMonitor, FaultPlan, HaloExchange, Lease,
-    PersistentExecutor, PersistentOptions, PersistentWorkspace, RandomPermutation,
-    RecurringPattern, RoundRobin, RunSession, ShardPlan, SimExecutor, SimOptions,
-    ThreadedExecutor, ThreadedOptions, UpdateFilter, UpdateTrace, WorkerPool, XView,
+    BlockKernel, BlockScratch, ConvergenceMonitor, PersistentExecutor, PersistentOptions,
+    PersistentWorkspace, RandomPermutation, RecurringPattern, RoundRobin, RunOutcome, RunSession,
+    SimExecutor, SimOptions, ThreadedOptions, UpdateFilter, UpdateTrace, XView,
 };
 use abr_sparse::block_plan::BlockEll;
 use abr_sparse::simd::{f64x4, LANES};
@@ -80,19 +79,13 @@ pub enum LocalSweep {
 pub enum ExecutorKind {
     /// Seeded discrete-event simulation (reproducible).
     Sim(SimOptions),
-    /// Real OS threads over an atomic shared vector (non-deterministic).
-    /// Solves to tolerance through the persistent-worker executor
-    /// ([`abr_gpu::persistent`]): workers spawned once, convergence
-    /// checked concurrently by the calling thread. Falls back to the
-    /// chunked-respawn driver only when `record_history` demands
-    /// per-round snapshots.
+    /// Real OS threads over an atomic shared vector (non-deterministic),
+    /// run by the persistent-worker executor ([`abr_gpu::persistent`]):
+    /// workers spawned once, convergence checked concurrently by the
+    /// calling thread. Records no per-round history — a threaded solve
+    /// returns an empty [`SolveResult::history`] even when
+    /// [`SolveOptions::record_history`] is set.
     Threaded(ThreadedOptions),
-    /// The legacy chunked-respawn threaded path: the driver respawns the
-    /// whole thread scope every `check_every` rounds and blocks on a
-    /// host-side residual between chunks. Kept as the measurable baseline
-    /// the persistent executor is benchmarked against
-    /// (`benches/executors.rs`); prefer [`ExecutorKind::Threaded`].
-    ThreadedChunked(ThreadedOptions),
 }
 
 impl Default for ExecutorKind {
@@ -186,15 +179,7 @@ impl AsyncBlockSolver {
         opts: &SolveOptions,
         filter: &dyn UpdateFilter,
     ) -> Result<SolveResult> {
-        assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep(
-            a,
-            rhs,
-            partition,
-            self.local_iters,
-            self.damping,
-            self.local_sweep,
-        )?;
+        let kernel = self.compile(a, rhs, partition, None)?;
         self.solve_with_kernel(a, rhs, x0, &kernel, opts, filter)
     }
 
@@ -213,17 +198,29 @@ impl AsyncBlockSolver {
         descriptor: &StencilDescriptor,
         opts: &SolveOptions,
     ) -> Result<SolveResult> {
+        let kernel = self.compile(a, rhs, partition, Some(descriptor))?;
+        self.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)
+    }
+
+    /// Compiles this solver's block kernel (its `k`, damping and sweep
+    /// type) for the system over `partition`.
+    fn compile<'a>(
+        &self,
+        a: &'a CsrMatrix,
+        rhs: &'a [f64],
+        partition: &RowPartition,
+        descriptor: Option<&StencilDescriptor>,
+    ) -> Result<AsyncJacobiKernel<'a>> {
         assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep_and_stencil(
+        AsyncJacobiKernel::with_sweep_and_stencil(
             a,
             rhs,
             partition,
             self.local_iters,
             self.damping,
             self.local_sweep,
-            Some(descriptor),
-        )?;
-        self.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)
+            descriptor,
+        )
     }
 
     /// Solves with an already-compiled kernel. This lets callers that
@@ -231,7 +228,12 @@ impl AsyncBlockSolver {
     /// [`AsyncJacobiKernel::nnz_local`] to the timing model) compile the
     /// block plan once instead of once per use. The kernel's numerics
     /// (`k`, damping, sweep type) are its own; `self` contributes the
-    /// schedule, executor, and chunked convergence driving.
+    /// schedule and the executor. On [`ExecutorKind::Threaded`] this is
+    /// [`solve_session`](Self::solve_session) with the executor's
+    /// [`persistent_options`](Self::persistent_options) and a plain
+    /// session; on [`ExecutorKind::Sim`] the simulator runs in chunks of
+    /// `check_every` rounds with a host-side residual check
+    /// between chunks.
     pub fn solve_with_kernel(
         &self,
         a: &CsrMatrix,
@@ -243,27 +245,24 @@ impl AsyncBlockSolver {
     ) -> Result<SolveResult> {
         check_system(a, rhs, x0);
         assert!(self.local_iters >= 1, "async-(k) needs k >= 1");
-        let mut schedule = self.schedule.build();
-
-        // The persistent path: workers spawned once for the whole solve,
-        // convergence monitored concurrently — no chunk barriers at all.
-        // Only per-round history recording still needs the chunked driver
-        // (the monitor observes the iterate at check periods, not rounds).
-        if let ExecutorKind::Threaded(_) = &self.executor {
-            if !opts.record_history {
-                return self
-                    .solve_persistent_sharded(a, rhs, x0, kernel, opts, filter, None, None)
-                    .map(|(result, _trace)| result);
+        let sim_opts = match &self.executor {
+            ExecutorKind::Sim(sim_opts) => sim_opts,
+            ExecutorKind::Threaded(_) => {
+                let exec_opts = self.persistent_options();
+                let session = RunSession::default();
+                return Ok(self
+                    .solve_session(a, rhs, x0, kernel, opts, filter, exec_opts, session)
+                    .result);
             }
-        }
-
+        };
+        let mut schedule = self.schedule.build();
         let mut x = x0.to_vec();
         let mut history: Vec<f64> = Vec::new();
         let mut iterations = 0usize;
         let mut converged = false;
         let mut rbuf: Vec<f64> = Vec::new();
 
-        // Chunked driving: the executor runs `chunk` asynchronous global
+        // Chunked driving: the simulator runs `chunk` asynchronous global
         // rounds at a time; between chunks the *driver* (host) checks
         // convergence, exactly like the paper's host-side residual tests.
         let chunk = if opts.tol > 0.0 { opts.check_every.max(1) } else { opts.max_iters };
@@ -272,41 +271,16 @@ impl AsyncBlockSolver {
             let offset_filter = OffsetFilter { inner: filter, offset: iterations };
             let mut offset_schedule =
                 OffsetSchedule { inner: schedule.as_mut(), offset: iterations };
-            match &self.executor {
-                ExecutorKind::Sim(sim_opts) => {
-                    let exec = SimExecutor::new(SimOptions {
-                        // decorrelate chunk seeds while staying reproducible
-                        seed: sim_opts.seed.wrapping_add(iterations as u64),
-                        ..sim_opts.clone()
-                    });
-                    exec.run(
-                        kernel,
-                        &mut x,
-                        rounds,
-                        &mut offset_schedule,
-                        &offset_filter,
-                        |_k, xk| {
-                            if opts.record_history {
-                                history.push(relative_residual_with(&mut rbuf, a, rhs, xk));
-                            }
-                        },
-                    );
+            let exec = SimExecutor::new(SimOptions {
+                // decorrelate chunk seeds while staying reproducible
+                seed: sim_opts.seed.wrapping_add(iterations as u64),
+                ..sim_opts.clone()
+            });
+            exec.run(kernel, &mut x, rounds, &mut offset_schedule, &offset_filter, |_k, xk| {
+                if opts.record_history {
+                    history.push(relative_residual_with(&mut rbuf, a, rhs, xk));
                 }
-                ExecutorKind::Threaded(t_opts) | ExecutorKind::ThreadedChunked(t_opts) => {
-                    let exec = ThreadedExecutor::new(ThreadedOptions {
-                        snapshot_rounds: opts.record_history,
-                        ..t_opts.clone()
-                    });
-                    let (x_new, _trace, snaps) =
-                        exec.run(kernel, &x, rounds, &mut offset_schedule, &offset_filter);
-                    if opts.record_history {
-                        for snap in &snaps {
-                            history.push(relative_residual_with(&mut rbuf, a, rhs, snap));
-                        }
-                    }
-                    x = x_new;
-                }
-            }
+            });
             iterations += rounds;
             if opts.tol > 0.0 {
                 let rr = relative_residual_with(&mut rbuf, a, rhs, &x);
@@ -325,25 +299,51 @@ impl AsyncBlockSolver {
         Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
     }
 
-    /// The persistent-worker solve: spawns the executor's workers once,
-    /// runs them against the whole `max_iters` budget, and checks
-    /// convergence *concurrently* through a [`ResidualMonitor`] every
-    /// `check_every` global iterations — the paper's host watching the
-    /// racy iterate while the device keeps updating. Zero thread spawns,
-    /// zero full-vector copies, and zero allocation after solve start,
-    /// except the monitor's reused snapshot and residual buffers.
+    /// The [`PersistentOptions`] this solver's executor resolves to: the
+    /// [`ExecutorKind::Threaded`] worker count (the default count for
+    /// [`ExecutorKind::Sim`]), default tuning otherwise.
+    pub fn persistent_options(&self) -> PersistentOptions {
+        let n_workers = match &self.executor {
+            ExecutorKind::Threaded(t) => t.n_workers,
+            ExecutorKind::Sim(_) => ThreadedOptions::default().n_workers,
+        };
+        PersistentOptions { n_workers, ..PersistentOptions::default() }
+    }
+
+    /// The persistent-worker solve — the one entry point every
+    /// real-thread solve goes through. Runs the executor against the whole
+    /// `max_iters` budget and checks convergence *concurrently* through a
+    /// [`ResidualMonitor`] every `check_every` global iterations — the
+    /// paper's host watching the racy iterate while the device keeps
+    /// updating. No thread respawns and no full-vector copies during the
+    /// solve; the monitor reuses its snapshot and residual buffers.
     ///
-    /// With `shards`, the executor's ticket pools are the plan's block
-    /// ranges — a multi-GPU driver passes its device slices so the shard
-    /// topology is the device topology, not the worker count. With
-    /// `halo`, workers read off-shard components through the exchange's
-    /// staged views (AMC/DC semantics); pass `None` for live reads (the
-    /// single-device and DK semantics). Returns the solve result *and*
-    /// the executor's [`UpdateTrace`] — the realised staleness histogram
-    /// and skew watermark are exactly what the paper's Fig. 12–14
-    /// strategy comparison is about.
+    /// `exec_opts` tunes the executor (worker count, lag gate, fault
+    /// detection pacing); [`persistent_options`](Self::persistent_options)
+    /// gives the solver's own. `session` carries everything else, see
+    /// [`RunSession`]:
+    ///
+    /// * `shards`/`halo` — a multi-GPU solver passes its device slices as
+    ///   the shard plan and a [`abr_gpu::HaloExchange`] realising its
+    ///   communication strategy (AMC/DC stages; `None` for live reads).
+    /// * `faults` — a live [`abr_gpu::FaultPlan`] (§4.5 realised):
+    ///   workers really die, hang, or panic mid-solve, and recovery-(t_r)
+    ///   releases orphaned shards for adoption. [`SolveResult::fault`]
+    ///   is `Some` exactly when a plan was passed.
+    /// * `cancel` — a request-scoped [`abr_gpu::CancelToken`]: within one
+    ///   monitor poll of it firing the workers drain, and the outcome is
+    ///   [`RunOutcome::Cancelled`] / [`RunOutcome::DeadlineExceeded`].
+    /// * `pool` — run on threads leased from a shared
+    ///   [`abr_gpu::WorkerPool`] (the lease size is the worker count and,
+    ///   absent an explicit plan, the shard count).
+    ///
+    /// `result.iterations` is the monitor's stop watermark for a
+    /// [`RunOutcome::Stopped`] run, the full budget for a
+    /// [`RunOutcome::Completed`] one, and the partial global-iteration
+    /// watermark for any interrupted run. `result.history` is always
+    /// empty (see [`ExecutorKind::Threaded`]).
     #[allow(clippy::too_many_arguments)]
-    pub fn solve_persistent_sharded(
+    pub fn solve_session(
         &self,
         a: &CsrMatrix,
         rhs: &[f64],
@@ -351,24 +351,18 @@ impl AsyncBlockSolver {
         kernel: &AsyncJacobiKernel<'_>,
         opts: &SolveOptions,
         filter: &dyn UpdateFilter,
-        shards: Option<&ShardPlan>,
-        halo: Option<&HaloExchange>,
-    ) -> Result<(SolveResult, UpdateTrace)> {
+        exec_opts: PersistentOptions,
+        session: RunSession<'_>,
+    ) -> FaultedSolve {
         check_system(a, rhs, x0);
-        let n_workers = match &self.executor {
-            ExecutorKind::Threaded(t) | ExecutorKind::ThreadedChunked(t) => t.n_workers,
-            ExecutorKind::Sim(_) => ThreadedOptions::default().n_workers,
-        };
-        let exec = PersistentExecutor::new(PersistentOptions {
-            n_workers,
-            ..PersistentOptions::default()
-        });
+        let faulted = session.faults.is_some();
+        let exec = PersistentExecutor::new(exec_opts);
         let mut schedule = self.schedule.build();
         let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
         let mut monitor = ResidualMonitor::new(a, rhs, opts.tol, period);
         let mut ws = PersistentWorkspace::new();
         let mut x = x0.to_vec();
-        let (trace, report) = exec.run_sharded(
+        let (trace, report) = exec.run_session(
             kernel,
             &mut x,
             opts.max_iters,
@@ -376,92 +370,20 @@ impl AsyncBlockSolver {
             filter,
             &mut monitor,
             &mut ws,
-            shards,
-            halo,
+            session,
         );
-        // The monitor's stop watermark is the meaningful iteration count;
-        // an unstopped run consumed the full budget.
-        let iterations = report.stopped_at.unwrap_or(opts.max_iters);
-        let mut rbuf = monitor.into_scratch();
-        let final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
-        let converged = opts.tol > 0.0 && final_residual <= opts.tol;
-        Ok((
-            SolveResult { x, iterations, converged, final_residual, history: Vec::new(), fault: None },
-            trace,
-        ))
-    }
-
-    /// The live-fault solve (§4.5 realised): runs the persistent-worker
-    /// executor under a [`FaultPlan`] — workers really die, hang, or go
-    /// panicky mid-solve; the concurrent monitor detects stalled
-    /// heartbeats and, in the recovery-(t_r) regime, releases orphaned
-    /// shards for adoption by the survivors. Where
-    /// [`solve_filtered`](Self::solve_filtered) with an
-    /// `abr_fault::ComponentFailure` *models* the outage analytically
-    /// (silently dropping updates on a schedule), this entry point
-    /// *realises* it: detection latency, reassignment rounds, and the
-    /// widened staleness bound are all measured, not assumed.
-    ///
-    /// `tuning` overrides the executor's fault-runtime knobs (worker
-    /// count, `detect_after_rounds`, `stall_timeout`); `None` takes the
-    /// solver's executor worker count with default detection pacing.
-    /// Returns the full [`FaultedSolve`]: the result (with
-    /// [`SolveResult::fault`] populated), the executor trace, the raw
-    /// [`PersistentReport`], and the monitor's concurrent residual
-    /// trajectory.
-    #[allow(clippy::too_many_arguments)] // solve signature + plan and tuning
-    pub fn solve_faulted(
-        &self,
-        a: &CsrMatrix,
-        rhs: &[f64],
-        x0: &[f64],
-        partition: &RowPartition,
-        opts: &SolveOptions,
-        plan: &FaultPlan,
-        tuning: Option<&PersistentOptions>,
-    ) -> Result<FaultedSolve> {
-        check_system(a, rhs, x0);
-        assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep(
-            a,
-            rhs,
-            partition,
-            self.local_iters,
-            self.damping,
-            self.local_sweep,
-        )?;
-        let exec_opts = match tuning {
-            Some(t) => t.clone(),
-            None => {
-                let n_workers = match &self.executor {
-                    ExecutorKind::Threaded(t) | ExecutorKind::ThreadedChunked(t) => t.n_workers,
-                    ExecutorKind::Sim(_) => ThreadedOptions::default().n_workers,
-                };
-                PersistentOptions { n_workers, ..PersistentOptions::default() }
-            }
+        let iterations = match (report.outcome, report.stopped_at) {
+            (RunOutcome::Stopped, Some(at)) => at,
+            (RunOutcome::Completed, _) => opts.max_iters,
+            _ => report.global_iterations,
         };
-        let exec = PersistentExecutor::new(exec_opts);
-        let mut schedule = self.schedule.build();
-        let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
-        let mut monitor = ResidualMonitor::new(a, rhs, opts.tol, period);
-        let mut ws = PersistentWorkspace::new();
-        let mut x = x0.to_vec();
-        let (trace, report) = exec.run_faulted(
-            &kernel,
-            &mut x,
-            opts.max_iters,
-            schedule.as_mut(),
-            &AllowAll,
-            &mut monitor,
-            &mut ws,
-            None,
-            None,
-            Some(plan),
-        );
-        let iterations = report.stopped_at.unwrap_or(opts.max_iters);
         let checks = std::mem::take(&mut monitor.checks);
         let mut rbuf = monitor.into_scratch();
-        let final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
+        let mut final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
+        if report.outcome == RunOutcome::Stopped {
+            final_residual =
+                settle_stopped(a, rhs, opts.tol, &mut x, final_residual, ws.snapshot(), &mut rbuf);
+        }
         let converged = opts.tol > 0.0 && final_residual <= opts.tol;
         let result = SolveResult {
             x,
@@ -469,126 +391,55 @@ impl AsyncBlockSolver {
             converged,
             final_residual,
             history: Vec::new(),
-            fault: Some(report.fault.clone()),
+            fault: faulted.then(|| report.fault.clone()),
         };
-        Ok(FaultedSolve { result, trace, report, checks })
-    }
-
-    /// The multi-tenant solve: runs on threads **leased from a shared
-    /// [`WorkerPool`]** instead of spawning a scope, so many concurrent
-    /// solves multiplex one long-lived set of workers — the solve-service
-    /// execution path. The shard plan is the even split over the lease
-    /// size ([`ShardPlan::even`]), so a request's parallelism is exactly
-    /// what admission control granted it.
-    ///
-    /// `run.cancel` wires a request-scoped [`CancelToken`] (client
-    /// cancellation and/or deadline) into the monitor loop: within one
-    /// monitor poll of the token firing, the run raises the ordinary
-    /// Release stop flag, the leased workers drain, and the lease returns
-    /// to the pool. The outcome is reported through
-    /// [`SolveResult::fault`]'s report and `FaultedSolve.report.outcome`
-    /// ([`abr_gpu::RunOutcome::Cancelled`] /
-    /// [`abr_gpu::RunOutcome::DeadlineExceeded`]), with
-    /// `result.iterations` the *partial* global-iteration watermark.
-    /// `run.faults` optionally injects a chaos [`FaultPlan`] — the
-    /// service's `--chaos` mode — contained to this request by the pool's
-    /// per-slice `catch_unwind`.
-    pub fn solve_leased(
-        &self,
-        a: &CsrMatrix,
-        rhs: &[f64],
-        x0: &[f64],
-        partition: &RowPartition,
-        opts: &SolveOptions,
-        run: LeasedRun<'_>,
-    ) -> Result<FaultedSolve> {
-        check_system(a, rhs, x0);
-        assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep(
-            a,
-            rhs,
-            partition,
-            self.local_iters,
-            self.damping,
-            self.local_sweep,
-        )?;
-        let shards = ShardPlan::even(kernel.n_blocks(), run.lease.n());
-        let exec = PersistentExecutor::new(run.exec_opts);
-        let mut schedule = self.schedule.build();
-        let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
-        let mut monitor = ResidualMonitor::new(a, rhs, opts.tol, period);
-        let mut ws = PersistentWorkspace::new();
-        let mut x = x0.to_vec();
-        let (trace, report) = exec.run_session(
-            &kernel,
-            &mut x,
-            opts.max_iters,
-            schedule.as_mut(),
-            &AllowAll,
-            &mut monitor,
-            &mut ws,
-            RunSession {
-                shards: Some(&shards),
-                faults: run.faults,
-                cancel: run.cancel,
-                pool: Some((run.pool, run.lease)),
-                ..RunSession::default()
-            },
-        );
-        // Stopped runs report the monitor's stop watermark; interrupted
-        // runs (cancel / deadline / stall) report the partial watermark.
-        let iterations = match report.stopped_at {
-            Some(at) => at,
-            None if report.outcome == abr_gpu::RunOutcome::Completed => opts.max_iters,
-            None => report.global_iterations,
-        };
-        let checks = std::mem::take(&mut monitor.checks);
-        let mut rbuf = monitor.into_scratch();
-        let final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
-        let converged = opts.tol > 0.0 && final_residual <= opts.tol;
-        let result = SolveResult {
-            x,
-            iterations,
-            converged,
-            final_residual,
-            history: Vec::new(),
-            fault: Some(report.fault.clone()),
-        };
-        Ok(FaultedSolve { result, trace, report, checks })
+        FaultedSolve { result, trace, report, checks }
     }
 }
 
-/// The pool half of a [`AsyncBlockSolver::solve_leased`] call: which
-/// shared [`WorkerPool`] runs the solve, the admission-granted [`Lease`],
-/// and the optional request-scoped cancellation and chaos plumbing.
-pub struct LeasedRun<'a> {
-    /// The shared worker pool the lease came from.
-    pub pool: &'a WorkerPool,
-    /// The admission-granted thread reservation; its size is the solve's
-    /// worker count and shard count.
-    pub lease: Lease<'a>,
-    /// Request-scoped cancel/deadline token, polled by the monitor loop.
-    pub cancel: Option<&'a CancelToken>,
-    /// Chaos fault plan for this request (`--chaos` mode); `None` runs
-    /// fault-free.
-    pub faults: Option<&'a FaultPlan>,
-    /// Executor tuning (lag gate, stall pacing, recovery knobs). The
-    /// worker count is taken from the lease, not from here.
-    pub exec_opts: PersistentOptions,
+/// The answer of a monitor-stopped persistent run. The exact check
+/// accepted the monitor's snapshot, but commits in flight at the stop
+/// still land on the live iterate before the workers join, and an
+/// asynchronous update can move the residual either way — so the live
+/// iterate can come back just above `tol` although the run converged.
+/// In that case the accepted snapshot is the answer, provided its exact
+/// residual, recomputed here, is within `tol`. The exact check stays the
+/// only stopping authority, and the common case (live iterate within
+/// `tol`) costs nothing. Returns the residual of the iterate left in
+/// `x`.
+fn settle_stopped(
+    a: &CsrMatrix,
+    rhs: &[f64],
+    tol: f64,
+    x: &mut [f64],
+    live_residual: f64,
+    snapshot: &[f64],
+    rbuf: &mut Vec<f64>,
+) -> f64 {
+    if live_residual <= tol {
+        return live_residual;
+    }
+    let snap_residual = relative_residual_with(rbuf, a, rhs, snapshot);
+    if snap_residual <= tol {
+        x.copy_from_slice(snapshot);
+        snap_residual
+    } else {
+        live_residual
+    }
 }
 
-/// Everything a [`AsyncBlockSolver::solve_faulted`] run produces.
+/// Everything an [`AsyncBlockSolver::solve_session`] run produces.
 #[derive(Debug)]
 pub struct FaultedSolve {
     /// The solve outcome; [`SolveResult::fault`] holds the
-    /// [`abr_gpu::FaultReport`].
+    /// [`abr_gpu::FaultReport`] when the run had a fault plan.
     pub result: SolveResult,
     /// The executor's update trace (staleness histogram, per-block
     /// counts, realised `max_skew` — bounded by
     /// `max_round_lag + 1 + max_outage_rounds`).
     pub trace: UpdateTrace,
-    /// The raw executor report ([`RunOutcome`](abr_gpu::RunOutcome),
-    /// stop watermark, steal/check counters, the fault report again).
+    /// The raw executor report ([`RunOutcome`], stop watermark,
+    /// steal/check counters, the fault report).
     pub report: abr_gpu::PersistentReport,
     /// The concurrent monitor's `(global_iteration, relative_residual)`
     /// trajectory — the §4.5 / Figure 10 re-convergence curve.
@@ -1529,6 +1380,38 @@ mod tests {
             .unwrap();
         assert_eq!(r.history.len(), 25);
         assert!(r.history[24] < r.history[0]);
+    }
+
+    #[test]
+    fn stopped_run_falls_back_to_the_confirmed_snapshot() {
+        let (a, rhs, x_true) = solve_setup(4);
+        let n = a.n_rows();
+        let tol = 1e-6;
+        let residual = |x: &[f64]| relative_residual_with(&mut Vec::new(), &a, &rhs, x);
+        let mut rbuf = Vec::new();
+        let far = vec![0.0; n];
+        assert!(residual(&far) > tol);
+
+        // Live iterate pushed past tol after the stop, snapshot within
+        // tol: the snapshot is the answer, with its recomputed residual.
+        let mut x = far.clone();
+        let rr = settle_stopped(&a, &rhs, tol, &mut x, residual(&far), &x_true, &mut rbuf);
+        assert_eq!(x, x_true);
+        assert_eq!(rr, residual(&x_true));
+
+        // Live iterate within tol: kept as is, snapshot never consulted.
+        let mut x = x_true.clone();
+        let rr = settle_stopped(&a, &rhs, tol, &mut x, residual(&x_true), &far, &mut rbuf);
+        assert_eq!(x, x_true);
+        assert_eq!(rr, residual(&x_true));
+
+        // Neither within tol (a stop on a non-finite residual): the live
+        // iterate stands; the snapshot cannot stop anything by itself.
+        let doubled: Vec<f64> = x_true.iter().map(|v| 2.0 * v).collect();
+        let mut x = far.clone();
+        let rr = settle_stopped(&a, &rhs, tol, &mut x, residual(&far), &doubled, &mut rbuf);
+        assert_eq!(x, far);
+        assert_eq!(rr, residual(&far));
     }
 
     #[test]

@@ -14,6 +14,10 @@ pub struct SolveOptions {
     /// of the paper's convergence plots).
     pub tol: f64,
     /// Record the relative residual after every (global) iteration.
+    /// Honoured by the sequential solvers and by async-(k) on the
+    /// discrete-event simulator (`ExecutorKind::Sim`); real-thread
+    /// async-(k) solves (`ExecutorKind::Threaded`) ignore it and return
+    /// an empty history.
     pub record_history: bool,
     /// For asynchronous methods: how many global iterations to run between
     /// convergence checks (each check is a synchronisation point of the
@@ -54,13 +58,15 @@ pub struct SolveResult {
     pub final_residual: f64,
     /// Relative residual after each iteration (empty unless
     /// `record_history`). `history[k]` is the residual after iteration
-    /// `k + 1`.
+    /// `k + 1`. Always empty for real-thread async-(k) solves: per-round
+    /// history is a feature of the discrete-event simulator fabric and
+    /// the sequential solvers.
     pub history: Vec<f64>,
     /// What the live fault runtime did during the solve, when it ran one
     /// (`None` for every fault-free solver path): detected worker deaths,
     /// recovery reassignments, per-block frozen spans, isolated panics.
     /// See [`abr_gpu::FaultReport`] and
-    /// [`solve_faulted`](crate::AsyncBlockSolver::solve_faulted).
+    /// [`solve_session`](crate::AsyncBlockSolver::solve_session).
     pub fault: Option<abr_gpu::FaultReport>,
 }
 

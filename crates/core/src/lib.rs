@@ -39,7 +39,7 @@ pub mod smoother;
 pub mod sor;
 
 pub use async_block::{
-    AsyncBlockSolver, ExecutorKind, FaultedSolve, LeasedRun, LocalSweep, ResidualMonitor,
+    AsyncBlockSolver, ExecutorKind, FaultedSolve, LocalSweep, ResidualMonitor,
     ScheduleKind, FUSED_FORCE_EXACT_EVERY, FUSED_GUARD_BAND, URGENT_BAND,
 };
 pub use fingerprint::{fingerprint_matrix, fingerprint_vec, Fnv1a};

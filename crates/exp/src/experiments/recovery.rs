@@ -14,9 +14,11 @@
 use crate::metrics::{MetricsSink, NullSink, RunMetrics};
 use crate::report::{Figure, Series, Table};
 use crate::{ExpOptions, Scale};
+use abr_core::async_block::AsyncJacobiKernel;
 use abr_core::{AsyncBlockSolver, SolveOptions};
 use abr_fault::FailureScenario;
-use abr_gpu::{FaultPlan, PersistentOptions};
+use abr_gpu::kernel::AllowAll;
+use abr_gpu::{FaultPlan, PersistentOptions, RunSession};
 use abr_sparse::gen::laplacian_2d_5pt;
 use abr_sparse::{Result, RowPartition};
 use std::time::Duration;
@@ -59,6 +61,7 @@ pub fn run_with_sink(opts: &ExpOptions, sink: &mut dyn MetricsSink) -> Result<Re
     let x0 = vec![0.0; n];
     let partition = RowPartition::uniform(n, block_rows)?;
     let solver = AsyncBlockSolver::async_k(5);
+    let kernel = AsyncJacobiKernel::new(&a, &rhs, &partition, solver.local_iters, solver.damping)?;
     let solve_opts =
         SolveOptions { max_iters: budget, tol: 1e-8, record_history: false, check_every: 10 };
     let tuning = PersistentOptions {
@@ -109,7 +112,17 @@ pub fn run_with_sink(opts: &ExpOptions, sink: &mut dyn MetricsSink) -> Result<Re
                     .lower(tuning.n_workers)
             }
         };
-        let fs = solver.solve_faulted(&a, &rhs, &x0, &partition, &solve_opts, &plan, Some(&tuning))?;
+        let session = RunSession { faults: Some(&plan), ..RunSession::default() };
+        let fs = solver.solve_session(
+            &a,
+            &rhs,
+            &x0,
+            &kernel,
+            &solve_opts,
+            &AllowAll,
+            tuning.clone(),
+            session,
+        );
         let fault = fs.report.fault.clone();
         figure.push(Series::new(
             label.clone(),

@@ -9,11 +9,13 @@
 //!
 //! 1. **Update ordering** — the chaotic interleaving of thread-block
 //!    updates that drives the numerics of asynchronous iteration. Provided
-//!    by two executors with a common interface:
+//!    by two fabrics over the same [`kernel::BlockKernel`] interface:
 //!    [`sim::SimExecutor`] (a seeded discrete-event simulation of SMs
 //!    dispatching thread blocks — deterministic and reproducible) and
-//!    [`threaded::ThreadedExecutor`] (real OS threads hammering a shared
-//!    atomic vector — genuinely non-deterministic).
+//!    [`persistent::PersistentExecutor`] (real OS threads, spawned once
+//!    per solve or leased from a [`pool::WorkerPool`], hammering a shared
+//!    atomic vector while the calling thread monitors convergence —
+//!    genuinely non-deterministic).
 //! 2. **Wall-clock cost** — a calibrated [`timing::TimingModel`] mapping
 //!    (method, matrix size, iteration counts, devices, communication
 //!    strategy) to seconds on the paper's hardware (Fermi C2070 GPUs in a
@@ -29,7 +31,6 @@ pub mod pool;
 pub mod residual;
 pub mod schedule;
 pub mod sim;
-pub mod threaded;
 pub mod timing;
 pub mod topology;
 pub mod trace;
@@ -42,13 +43,12 @@ pub use occupancy::{occupancy, KernelFootprint, Occupancy, SmLimits};
 pub use persistent::{
     ConvergenceMonitor, DeathRecord, FaultKind, FaultPlan, FaultReport, FrozenSpan, NoMonitor,
     PersistentExecutor, PersistentOptions, PersistentReport, PersistentWorkspace, Reassignment,
-    RunOutcome, RunSession, ShardPhase, ShardPlan, ShardState, WorkerFault,
+    RunOutcome, RunSession, ShardPhase, ShardPlan, ShardState, ThreadedOptions, WorkerFault,
 };
 pub use pool::{CancelCause, CancelToken, Lease, WorkerPool};
 pub use residual::ResidualSlots;
 pub use schedule::{BlockSchedule, RandomPermutation, RecurringPattern, RoundRobin};
 pub use sim::{SimExecutor, SimOptions};
-pub use threaded::{ThreadedExecutor, ThreadedOptions};
 pub use timing::{CommStrategy, TimingModel};
 pub use topology::Topology;
 pub use trace::{SkewTracker, StalenessHistogram, UpdateTrace};

@@ -1,11 +1,8 @@
-//! The persistent-worker executor: threads spawned **once per solve**,
-//! convergence checked **concurrently** by the calling thread.
+//! The persistent-worker executor — the real-thread fabric: threads
+//! spawned **once per solve**, convergence checked **concurrently** by
+//! the calling thread.
 //!
-//! [`crate::threaded::ThreadedExecutor`] realises asynchronous chaos, but
-//! driving it to a tolerance means chunked respawning: every
-//! `check_every` rounds the whole thread scope is torn down, the iterate
-//! is round-tripped through fresh storage, and the driver blocks on a
-//! host-side residual. The paper's method has *no* such barrier — its
+//! The paper's method has no barrier between convergence checks: its
 //! CUDA kernels stream continuously while the host reads the (racy)
 //! iterate on the side and decides when to stop. This executor is that
 //! shape:
@@ -17,8 +14,8 @@
 //!   per-worker shards (contiguous ranges — the paper's SM-owns-its-blocks
 //!   locality), each with its own atomic round counter. A worker drains
 //!   its home shard first and steals from the others only when its own is
-//!   exhausted, so the single contended global counter of the chunked
-//!   executor disappears from the hot path.
+//!   exhausted, so no single contended ticket counter sits on the hot
+//!   path.
 //! * **The host is the monitor.** The calling thread plays the paper's
 //!   host: it snapshots the live [`AtomicF64Vec`] into a reused buffer,
 //!   runs an arbitrary [`ConvergenceMonitor`] check against it *while the
@@ -27,21 +24,78 @@
 //!   loads, so the global-iteration watermark recorded at the stop is
 //!   coherent with what the stopping workers observe.
 //!
-//! Results are non-deterministic run to run, exactly like the chunked
-//! threaded executor; the discrete-event simulator remains the
-//! reproducible oracle.
+//! Workers update a shared [`AtomicF64Vec`] with relaxed loads and
+//! stores and no synchronisation between the updates of different
+//! blocks — precisely the situation of the paper's CUDA kernels running
+//! through unsynchronised streams. Results are therefore
+//! non-deterministic run to run; the discrete-event simulator
+//! ([`crate::sim::SimExecutor`]) remains the reproducible oracle.
 
 use crate::halo::HaloExchange;
 use crate::kernel::{BlockKernel, BlockScratch, UpdateFilter};
 use crate::pool::{CancelCause, CancelToken, Lease, WorkerPool};
 use crate::residual::ResidualSlots;
 use crate::schedule::BlockSchedule;
-use crate::threaded::acquire_block_flag;
 use crate::trace::{SkewTracker, StalenessHistogram, UpdateTrace};
 use crate::xview::{AtomicF64Vec, XView};
 use abr_sync::{Ordering, SyncBool, SyncUsize};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
+
+/// How many failed acquisition attempts to spin before falling back to
+/// yielding the OS scheduler. Spinning briefly wins when the holder is
+/// mid-update on another core; yielding wins when the holder has been
+/// descheduled (on a single-core host, spinning alone would burn the
+/// whole timeslice the holder needs to finish).
+const SPIN_LIMIT: u32 = 64;
+
+/// Acquires a per-block in-flight flag with bounded spinning: up to
+/// [`SPIN_LIMIT`] `spin_loop` hints, then `yield_now` between attempts.
+/// Every update of one block is serialised through exactly this
+/// protocol, which bounds how far one block's committed updates can
+/// reorder (on the hardware, a block's updates are consecutive kernels
+/// of one stream).
+#[inline]
+fn acquire_block_flag(flag: &SyncBool) {
+    let mut attempts = 0u32;
+    // sync: Acquire on success pairs with the releasing store that frees
+    // the flag — winning the flag makes the previous holder's block
+    // writes and count bump visible. Relaxed on failure: a losing
+    // attempt publishes nothing and acts on nothing.
+    while flag
+        .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+        .is_err()
+    {
+        if attempts < SPIN_LIMIT {
+            attempts += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Real-thread options of the solver-level `ExecutorKind::Threaded`
+/// fabric, which runs on [`PersistentExecutor`].
+#[derive(Debug, Clone)]
+pub struct ThreadedOptions {
+    /// Number of OS worker threads. Defaults to the machine's available
+    /// parallelism (capped at 8 — beyond that the tiny test systems just
+    /// produce scheduler noise).
+    pub n_workers: usize,
+    /// No effect: the real-thread fabric takes no per-round snapshots
+    /// (per-round residual history is a discrete-event-simulator
+    /// feature). The field stays so that struct-literal constructions
+    /// outside this workspace keep building.
+    pub snapshot_rounds: bool,
+}
+
+impl Default for ThreadedOptions {
+    fn default() -> Self {
+        let par = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+        ThreadedOptions { n_workers: par.min(8), snapshot_rounds: false }
+    }
+}
 
 /// An explicit contiguous shard partition of the block set: shard `s`
 /// owns blocks `offsets[s] .. offsets[s + 1]`. This is how a multi-device
@@ -409,7 +463,7 @@ impl ShardState {
 pub struct PersistentOptions {
     /// Number of persistent OS worker threads (also the shard count,
     /// capped at the number of blocks). Defaults like
-    /// [`crate::ThreadedOptions`]: available parallelism, capped at 8.
+    /// [`ThreadedOptions`]: available parallelism, capped at 8.
     pub n_workers: usize,
     /// How many rounds of the block schedule to materialise into the
     /// per-shard ticket lists. Budgets beyond this cycle reuse the
@@ -582,6 +636,15 @@ impl PersistentWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The monitor's snapshot buffer: the iterate the last exact
+    /// [`ConvergenceMonitor::check`] of the last run judged. After a
+    /// [`RunOutcome::Stopped`] run it is the snapshot the stopping check
+    /// accepted — commits still in flight at the stop land on the live
+    /// iterate only, so a solver can fall back to this confirmed state.
+    pub fn snapshot(&self) -> &[f64] {
+        &self.snapshot
     }
 
     /// Fingerprint of the monitor's snapshot buffer (pointer, capacity) —
@@ -804,39 +867,43 @@ impl PersistentExecutor {
         monitor: &mut dyn ConvergenceMonitor,
         ws: &mut PersistentWorkspace,
     ) -> (UpdateTrace, PersistentReport) {
-        self.run_sharded(kernel, x, rounds, schedule, filter, monitor, ws, None, None)
+        self.run_session(kernel, x, rounds, schedule, filter, monitor, ws, RunSession::default())
     }
 
-    /// [`run`](Self::run) with an explicit shard partition and an
-    /// optional staged halo. With `shards`, the per-shard ticket pools
-    /// are the plan's block ranges (a multi-GPU driver passes its device
-    /// slices) instead of the even `n_workers`-way split. With `halo`,
-    /// workers of shard `s` read the iterate through the halo's staged
-    /// view for device `s` — off-shard components then arrive on the
-    /// exchange's epoch cadence rather than live — and the halo's device
-    /// count must equal the shard count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded(
-        &self,
-        kernel: &dyn BlockKernel,
-        x: &mut [f64],
-        rounds: usize,
-        schedule: &mut dyn BlockSchedule,
-        filter: &dyn UpdateFilter,
-        monitor: &mut dyn ConvergenceMonitor,
-        ws: &mut PersistentWorkspace,
-        shards: Option<&ShardPlan>,
-        halo: Option<&HaloExchange>,
-    ) -> (UpdateTrace, PersistentReport) {
-        self.run_faulted(kernel, x, rounds, schedule, filter, monitor, ws, shards, halo, None)
-    }
-
-    /// [`run_sharded`](Self::run_sharded) under a live [`FaultPlan`]:
-    /// planned workers really die, hang, or go panicky mid-solve; the
-    /// monitor detects deaths from stalled heartbeats; and — when the
-    /// plan enables recovery-(t_r) — orphaned shards are reassigned into
-    /// the survivors' work-stealing ring after `t_r` further floor
-    /// rounds.
+    /// The fully general entry point: [`run`](Self::run) plus everything
+    /// a [`RunSession`] carries.
+    ///
+    /// * **Shards** ([`RunSession::shards`]): the per-shard ticket pools
+    ///   are the plan's block ranges (a multi-GPU solver passes its device
+    ///   slices) instead of the even `n_workers`-way split.
+    /// * **Halo** ([`RunSession::halo`]): workers of shard `s` read the
+    ///   iterate through the halo's staged view for device `s` —
+    ///   off-shard components then arrive on the exchange's epoch cadence
+    ///   rather than live — and the halo's device count must equal the
+    ///   shard count.
+    /// * **Faults** ([`RunSession::faults`]): planned workers really die,
+    ///   hang, or go panicky mid-solve; the monitor detects deaths from
+    ///   stalled heartbeats; and — when the plan enables recovery-(t_r) —
+    ///   orphaned shards are reassigned into the survivors'
+    ///   work-stealing ring after `t_r` further floor rounds.
+    /// * **Cancellation/deadline** ([`RunSession::cancel`]): the monitor
+    ///   polls the token once per poll and translates a fired token into
+    ///   the ordinary Release stop store, so the run ends (and its leased
+    ///   workers free up) within one monitor poll. The outcome is
+    ///   [`RunOutcome::Cancelled`] / [`RunOutcome::DeadlineExceeded`] and
+    ///   the iterate holds the partial result;
+    ///   [`PersistentReport::global_iterations`] is the partial count.
+    /// * **Pooled execution** ([`RunSession::pool`]): instead of spawning
+    ///   a thread scope, the run consumes a [`Lease`] from a long-lived
+    ///   [`WorkerPool`] and dispatches the same worker body onto the
+    ///   leased threads; the worker count is the lease size (the
+    ///   executor's `n_workers` option is ignored). The monitor still
+    ///   runs on the calling thread, and the run does not return until
+    ///   every leased worker has finished — the pool's completion edge
+    ///   plays the thread-scope join edge, so all post-run reads stay
+    ///   exact. A worker body that unwinds on a pooled run is contained
+    ///   by the pool and surfaced via
+    ///   [`PersistentReport::escaped_panics`].
     ///
     /// ## The staleness contract under an outage
     ///
@@ -866,54 +933,6 @@ impl PersistentExecutor {
     /// never-thawed blocks). This bound is **asserted** after every run —
     /// fault-free runs assert the original bound, since their
     /// `max_outage_rounds` is 0.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_faulted(
-        &self,
-        kernel: &dyn BlockKernel,
-        x: &mut [f64],
-        rounds: usize,
-        schedule: &mut dyn BlockSchedule,
-        filter: &dyn UpdateFilter,
-        monitor: &mut dyn ConvergenceMonitor,
-        ws: &mut PersistentWorkspace,
-        shards: Option<&ShardPlan>,
-        halo: Option<&HaloExchange>,
-        faults: Option<&FaultPlan>,
-    ) -> (UpdateTrace, PersistentReport) {
-        self.run_session(
-            kernel,
-            x,
-            rounds,
-            schedule,
-            filter,
-            monitor,
-            ws,
-            RunSession { shards, halo, faults, ..RunSession::default() },
-        )
-    }
-
-    /// The fully general entry point: [`run_faulted`](Self::run_faulted)
-    /// plus the request-scoped extensions a multi-tenant caller needs,
-    /// bundled in a [`RunSession`].
-    ///
-    /// * **Cancellation/deadline** ([`RunSession::cancel`]): the monitor
-    ///   polls the token once per poll and translates a fired token into
-    ///   the ordinary Release stop store, so the run ends (and its leased
-    ///   workers free up) within one monitor poll. The outcome is
-    ///   [`RunOutcome::Cancelled`] / [`RunOutcome::DeadlineExceeded`] and
-    ///   the iterate holds the partial result;
-    ///   [`PersistentReport::global_iterations`] is the partial count.
-    /// * **Pooled execution** ([`RunSession::pool`]): instead of spawning
-    ///   a thread scope, the run consumes a [`Lease`] from a long-lived
-    ///   [`WorkerPool`] and dispatches the same worker body onto the
-    ///   leased threads; the worker count is the lease size (the
-    ///   executor's `n_workers` option is ignored). The monitor still
-    ///   runs on the calling thread, and the run does not return until
-    ///   every leased worker has finished — the pool's completion edge
-    ///   plays the thread-scope join edge, so all post-run reads stay
-    ///   exact. A worker body that unwinds on a pooled run is contained
-    ///   by the pool and surfaced via
-    ///   [`PersistentReport::escaped_panics`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_session(
         &self,
@@ -1936,6 +1955,21 @@ mod tests {
         );
         assert_eq!(trace.updates_per_block, vec![3; 5]);
         assert_eq!(trace.skipped_updates, 5 * 5);
+
+        // Every component write filtered: the blocks still execute (the
+        // cores ran, their writes were dropped), the iterate is unchanged.
+        struct FreezeAll;
+        impl UpdateFilter for FreezeAll {
+            fn component_enabled(&self, _i: usize, _round: usize) -> bool {
+                false
+            }
+        }
+        let x0: Vec<f64> = (0..20).map(|i| i as f64 * 2.0).collect();
+        let mut x = x0.clone();
+        let (trace, _) =
+            exec.run(&kernel, &mut x, 5, &mut RoundRobin, &FreezeAll, &mut NoMonitor, &mut ws);
+        assert_eq!(x, x0, "all writes filtered: iterate unchanged");
+        assert_eq!(trace.total_updates(), 5 * 5);
     }
 
     #[test]
@@ -2082,7 +2116,7 @@ mod tests {
         assert_eq!(plan.n_shards(), 2);
         assert_eq!(plan.shard_range(1), (2, 5));
         let mut ws = PersistentWorkspace::new();
-        let (trace, report) = exec.run_sharded(
+        let (trace, report) = exec.run_session(
             &kernel,
             &mut x,
             30,
@@ -2090,8 +2124,7 @@ mod tests {
             &AllowAll,
             &mut NoMonitor,
             &mut ws,
-            Some(&plan),
-            None,
+            RunSession { shards: Some(&plan), ..RunSession::default() },
         );
         assert_eq!(trace.updates_per_block, vec![30; 5]);
         assert_eq!(report.global_iterations, 30);
@@ -2245,7 +2278,7 @@ mod tests {
         let exec = PersistentExecutor::default();
         let plan = ShardPlan::from_offsets(&[0, 2, 4]); // only 4 of 5
         let mut ws = PersistentWorkspace::new();
-        exec.run_sharded(
+        exec.run_session(
             &kernel,
             &mut x,
             2,
@@ -2253,8 +2286,7 @@ mod tests {
             &AllowAll,
             &mut NoMonitor,
             &mut ws,
-            Some(&plan),
-            None,
+            RunSession { shards: Some(&plan), ..RunSession::default() },
         );
     }
 
@@ -2273,7 +2305,7 @@ mod tests {
         // Device rows mirror the shard plan's block ranges (blocks of 4).
         let halo = HaloExchange::for_strategy(CommStrategy::Dc, &[0, 8, 20], &x0, 2).unwrap();
         let mut ws = PersistentWorkspace::new();
-        let (trace, report) = exec.run_sharded(
+        let (trace, report) = exec.run_session(
             &kernel,
             &mut x,
             400,
@@ -2281,8 +2313,7 @@ mod tests {
             &AllowAll,
             &mut NoMonitor,
             &mut ws,
-            Some(&plan),
-            Some(&halo),
+            RunSession { shards: Some(&plan), halo: Some(&halo), ..RunSession::default() },
         );
         assert_eq!(trace.updates_per_block, vec![400; 5]);
         assert!(report.halo_refreshes > 0, "the exchange must actually run");
@@ -2296,8 +2327,7 @@ mod tests {
 
     /// Fault-path harness: a consensus run under a plan, small pauses and
     /// aggressive detection so the tests stay fast.
-    #[allow(clippy::too_many_arguments)]
-    fn run_faulted_consensus(
+    fn consensus_under_faults(
         n_workers: usize,
         nb_times_bs: (usize, usize),
         rounds: usize,
@@ -2316,7 +2346,7 @@ mod tests {
         });
         let mut ws = PersistentWorkspace::new();
         let mut sched = RoundRobin;
-        let (trace, report) = exec.run_faulted(
+        let (trace, report) = exec.run_session(
             &kernel,
             &mut x,
             rounds,
@@ -2324,9 +2354,7 @@ mod tests {
             &AllowAll,
             &mut NoMonitor,
             &mut ws,
-            None,
-            None,
-            Some(plan),
+            RunSession { faults: Some(plan), ..RunSession::default() },
         );
         (x, trace, report)
     }
@@ -2343,7 +2371,7 @@ mod tests {
         }
         let started = Instant::now();
         let (_, trace, report) =
-            run_faulted_consensus(3, (24, 4), 10_000, &plan, 3, 200);
+            consensus_under_faults(3, (24, 4), 10_000, &plan, 3, 200);
         assert_eq!(report.outcome, RunOutcome::Stalled);
         assert_eq!(trace.total_updates(), 0, "nobody should have worked");
         assert!(
@@ -2361,7 +2389,7 @@ mod tests {
             plan = plan.hang(w, 0);
         }
         let started = Instant::now();
-        let (_, _, report) = run_faulted_consensus(2, (12, 3), 10_000, &plan, 3, 100);
+        let (_, _, report) = consensus_under_faults(2, (12, 3), 10_000, &plan, 3, 100);
         assert_eq!(report.outcome, RunOutcome::Stalled);
         assert!(
             started.elapsed() < Duration::from_secs(10),
@@ -2379,7 +2407,7 @@ mod tests {
     fn kill_with_recovery_reassigns_the_orphaned_shard() {
         let plan = FaultPlan::new().kill(1, 5).with_recovery(6);
         let (x, trace, report) =
-            run_faulted_consensus(4, (48, 4), 120, &plan, 3, 2_000);
+            consensus_under_faults(4, (48, 4), 120, &plan, 3, 2_000);
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert_eq!(trace.updates_per_block, vec![120; 12]);
         assert!(
@@ -2416,7 +2444,7 @@ mod tests {
     #[test]
     fn kill_without_recovery_stalls_with_frozen_blocks() {
         let plan = FaultPlan::new().kill(1, 5);
-        let (_, trace, report) = run_faulted_consensus(4, (48, 4), 40, &plan, 3, 300);
+        let (_, trace, report) = consensus_under_faults(4, (48, 4), 40, &plan, 3, 300);
         assert_eq!(report.outcome, RunOutcome::Stalled);
         // Shard 1 owns blocks 3..6; they froze around round 5 while every
         // other block drained the full 40-round budget.
@@ -2449,7 +2477,7 @@ mod tests {
         // host — the survivors can drain the whole budget while the
         // victim never gets a slot).
         let plan = FaultPlan::new().poison(0, 3).poison(1, 3);
-        let (_, trace, report) = run_faulted_consensus(2, (48, 4), 60, &plan, 4, 2_000);
+        let (_, trace, report) = consensus_under_faults(2, (48, 4), 60, &plan, 4, 2_000);
         std::panic::set_hook(hook);
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert!(report.fault.caught_panics > 0, "panics must be caught and counted");

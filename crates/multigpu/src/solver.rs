@@ -3,7 +3,10 @@
 use abr_core::async_block::AsyncJacobiKernel;
 use abr_core::{AsyncBlockSolver, ExecutorKind, SolveOptions, SolveResult};
 use abr_gpu::timing::CommStrategy;
-use abr_gpu::{HaloExchange, ShardPlan, SimOptions, TimingModel, Topology, UpdateTrace};
+use abr_gpu::kernel::AllowAll;
+use abr_gpu::{
+    HaloExchange, RunSession, ShardPlan, SimOptions, TimingModel, Topology, UpdateTrace,
+};
 use abr_sparse::{CsrMatrix, Result, RowPartition};
 
 /// A multi-GPU async-(k) configuration.
@@ -32,9 +35,8 @@ pub struct MultiGpuResult {
     pub seconds_total: f64,
     /// The executor's trace — realised staleness histogram and skew
     /// watermark — when the solve ran on the persistent sharded path
-    /// (`ExecutorKind::Threaded` without history recording); `None` on
-    /// the DES and chunked paths, which don't realise the strategies'
-    /// communication semantics.
+    /// (`ExecutorKind::Threaded`); `None` on the DES path, which doesn't
+    /// realise the strategies' communication semantics.
     pub trace: Option<UpdateTrace>,
     /// The halo refresh cadence the strategy ran with: global rounds per
     /// stage refresh (from the timing model's transfer/compute ratio), or
@@ -81,11 +83,11 @@ impl MultiGpuSolver {
     /// Runs the solve and prices it.
     ///
     /// On the DES path the strategies share identical numerics and differ
-    /// only in price; on the persistent threaded path (the default
-    /// [`ExecutorKind::Threaded`] without history recording) the executor
-    /// is given the *device* shard partition and a [`HaloExchange`] that
-    /// realises the strategy's communication semantics — DK workers read
-    /// remote components live, DC through a per-device stage refreshed
+    /// only in price; on the persistent threaded path
+    /// ([`ExecutorKind::Threaded`]) the executor is given the *device*
+    /// shard partition and a [`HaloExchange`] that realises the
+    /// strategy's communication semantics — DK workers read remote
+    /// components live, DC through a per-device stage refreshed
     /// straight from the master copy every epoch, AMC through a stage
     /// refreshed from a host-side stage (one extra epoch of staleness).
     /// The three schemes then produce genuinely different staleness
@@ -131,15 +133,13 @@ impl MultiGpuSolver {
                     }),
                     ..self.base.clone()
                 };
-                let solve =
-                    base.solve_with_kernel(a, rhs, x0, &kernel, opts, &abr_gpu::kernel::AllowAll)?;
+                let solve = base.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)?;
                 (solve, None)
             }
             // Persistent threaded: shard the executor by *device slices*
             // (not worker count) and realise the strategy through the
-            // halo exchange. History recording still needs the chunked
-            // driver, which has no halo semantics.
-            ExecutorKind::Threaded(_) if !opts.record_history => {
+            // halo exchange.
+            ExecutorKind::Threaded(_) => {
                 let shard_offsets = Self::device_shard_offsets(&devices, &blocks);
                 let plan = ShardPlan::from_offsets(&shard_offsets);
                 let device_rows: Vec<usize> = std::iter::once(0)
@@ -151,29 +151,19 @@ impl MultiGpuSolver {
                     x0,
                     halo_epoch_rounds,
                 );
-                let (solve, trace) = self.base.solve_persistent_sharded(
+                let session =
+                    RunSession { shards: Some(&plan), halo: halo.as_ref(), ..RunSession::default() };
+                let run = self.base.solve_session(
                     a,
                     rhs,
                     x0,
                     &kernel,
                     opts,
-                    &abr_gpu::kernel::AllowAll,
-                    Some(&plan),
-                    halo.as_ref(),
-                )?;
-                (solve, Some(trace))
-            }
-            // Legacy chunked paths: unified iterate, no halo semantics.
-            ExecutorKind::Threaded(_) | ExecutorKind::ThreadedChunked(_) => {
-                let solve = self.base.solve_with_kernel(
-                    a,
-                    rhs,
-                    x0,
-                    &kernel,
-                    opts,
-                    &abr_gpu::kernel::AllowAll,
-                )?;
-                (solve, None)
+                    &AllowAll,
+                    self.base.persistent_options(),
+                    session,
+                );
+                (run.result, Some(run.trace))
             }
         };
         let seconds_per_iteration = self.timing.multi_gpu_async_iteration(
@@ -247,11 +237,10 @@ mod tests {
     #[test]
     fn dk_fresher_than_amc_at_equal_rounds() {
         let (a, rhs) = system();
-        // A fixed round budget with no history recording: the persistent
-        // sharded path (which realises the halo semantics) handles the
-        // solve, and the fixed budget makes the runs comparable.
-        let opts =
-            SolveOptions { record_history: false, ..SolveOptions::fixed_iterations(60) };
+        // A fixed round budget makes the runs comparable; the threaded
+        // fabric realises the halo semantics (and returns a trace) for a
+        // fixed budget exactly as for a solve to tolerance.
+        let opts = SolveOptions::fixed_iterations(60);
         let run = |strategy: CommStrategy| {
             let mut s = MultiGpuSolver::supermicro(2, strategy);
             s.thread_block_size = 64;

@@ -34,13 +34,16 @@
 
 use crate::cache::{solve_key, Begin, CachedSolve, SolveCache};
 use crate::wire::{write_frame, MatrixSpec, Mode, Request, Response, SolveSpec};
+use abr_core::async_block::AsyncJacobiKernel;
 use abr_core::{
-    fingerprint_matrix, fingerprint_vec, AsyncBlockSolver, ExecutorKind, LeasedRun,
-    ScheduleKind, SolveOptions,
+    fingerprint_matrix, fingerprint_vec, AsyncBlockSolver, ExecutorKind, ScheduleKind,
+    SolveOptions,
 };
 use abr_exp::metrics::{JsonlFileSink, MetricsSink, NullSink, RunMetrics};
+use abr_gpu::kernel::AllowAll;
 use abr_gpu::{
-    CancelCause, CancelToken, FaultPlan, PersistentOptions, RunOutcome, SimOptions, WorkerPool,
+    CancelCause, CancelToken, FaultPlan, PersistentOptions, RunOutcome, RunSession, SimOptions,
+    WorkerPool,
 };
 use abr_sparse::{gen, CsrMatrix, RowPartition};
 use abr_sync::{Ordering, SyncBool};
@@ -738,25 +741,32 @@ fn run_solve(
                     return Ok(Solved::Shed);
                 }
             };
-            let solved = solver
-                .solve_leased(
-                    a,
-                    rhs,
-                    x0,
-                    &partition,
-                    &opts,
-                    LeasedRun {
-                        pool: &shared.pool,
-                        lease,
-                        cancel: Some(token),
-                        faults: chaos,
-                        exec_opts: PersistentOptions {
-                            n_workers: workers,
-                            ..PersistentOptions::default()
-                        },
-                    },
-                )
-                .map_err(|e| e.to_string())?;
+            let kernel = AsyncJacobiKernel::with_sweep(
+                a,
+                rhs,
+                &partition,
+                solver.local_iters,
+                solver.damping,
+                solver.local_sweep,
+            )
+            .map_err(|e| e.to_string())?;
+            // The lease size is the worker count and the shard count.
+            let session = RunSession {
+                faults: chaos,
+                cancel: Some(token),
+                pool: Some((&shared.pool, lease)),
+                ..RunSession::default()
+            };
+            let solved = solver.solve_session(
+                a,
+                rhs,
+                x0,
+                &kernel,
+                &opts,
+                &AllowAll,
+                PersistentOptions { n_workers: workers, ..PersistentOptions::default() },
+                session,
+            );
             match solved.report.outcome {
                 RunOutcome::Cancelled => {
                     Ok(Solved::Interrupted(CancelCause::Cancelled, solved.result.iterations))
@@ -771,7 +781,7 @@ fn run_solve(
                     converged: solved.result.converged,
                     final_residual: solved.result.final_residual,
                     residuals: solved.checks,
-                    fault: solved.result.fault,
+                    fault: Some(solved.report.fault),
                 }),
             }
         }

@@ -9,7 +9,8 @@ use block_async_relax::core::async_block::{AsyncJacobiKernel, LocalSweep};
 use block_async_relax::gpu::kernel::AllowAll;
 use block_async_relax::gpu::schedule::RoundRobin;
 use block_async_relax::gpu::{
-    BlockKernel, BlockScratch, SimExecutor, SimOptions, ThreadedExecutor, ThreadedOptions, XView,
+    BlockKernel, BlockScratch, NoMonitor, PersistentExecutor, PersistentOptions,
+    PersistentWorkspace, SimExecutor, SimOptions, XView,
 };
 use block_async_relax::sparse::gen::{
     fv_stencil, laplacian_2d_5pt_stencil, laplacian_3d_7pt_stencil, random_diag_dominant,
@@ -331,11 +332,15 @@ fn threaded_executor_gives_each_worker_its_own_scratch() {
         seen_scratches: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
     };
     let workers = 4;
-    let exec = ThreadedExecutor::new(ThreadedOptions { n_workers: workers, snapshot_rounds: false });
-    let x0 = vec![1.0; 64];
-    // panics inside update_block_with propagate out of thread::scope, so
-    // reaching this point means no aliasing was ever observed
-    let (_, trace, _) = exec.run(&probe, &x0, 50, &mut RoundRobin, &AllowAll);
+    let exec =
+        PersistentExecutor::new(PersistentOptions { n_workers: workers, ..Default::default() });
+    let mut x = vec![1.0; 64];
+    let mut ws = PersistentWorkspace::new();
+    let (trace, report) =
+        exec.run(&probe, &mut x, 50, &mut RoundRobin, &AllowAll, &mut NoMonitor, &mut ws);
+    // the executor isolates a panicking sweep and counts it, so zero
+    // catches means no aliasing was ever observed
+    assert_eq!(report.fault.caught_panics, 0, "scratch shared between concurrent workers");
     assert_eq!(trace.total_updates(), 50 * probe.n_blocks());
     let distinct = probe.seen_scratches.lock().len();
     assert!(

@@ -6,8 +6,10 @@
 //! on the paper-style systems (2D Laplacian, trefethen). A poisoned
 //! (panicking) kernel degrades the run without aborting it.
 
-use block_async_relax::core::{AsyncBlockSolver, SolveOptions};
-use block_async_relax::gpu::{FaultPlan, PersistentOptions, RunOutcome};
+use block_async_relax::core::async_block::AsyncJacobiKernel;
+use block_async_relax::core::{AsyncBlockSolver, FaultedSolve, SolveOptions};
+use block_async_relax::gpu::kernel::AllowAll;
+use block_async_relax::gpu::{FaultPlan, PersistentOptions, RunOutcome, RunSession};
 use block_async_relax::sparse::gen::{laplacian_2d_5pt, trefethen};
 use block_async_relax::sparse::{CsrMatrix, RowPartition};
 use proptest::prelude::*;
@@ -26,6 +28,23 @@ fn tuning(workers: usize, lag: usize) -> PersistentOptions {
     }
 }
 
+/// One async-(k) solve on the live fault runtime under `plan`.
+fn solve_under_plan(
+    solver: &AsyncBlockSolver,
+    a: &CsrMatrix,
+    rhs: &[f64],
+    partition: &RowPartition,
+    opts: &SolveOptions,
+    plan: &FaultPlan,
+    tuning: PersistentOptions,
+) -> FaultedSolve {
+    let kernel =
+        AsyncJacobiKernel::new(a, rhs, partition, solver.local_iters, solver.damping).unwrap();
+    let x0 = vec![0.0; a.n_rows()];
+    let session = RunSession { faults: Some(plan), ..RunSession::default() };
+    solver.solve_session(a, rhs, &x0, &kernel, opts, &AllowAll, tuning, session)
+}
+
 fn solve_to_tol(
     a: &CsrMatrix,
     block: usize,
@@ -33,16 +52,13 @@ fn solve_to_tol(
     budget: usize,
     plan: &FaultPlan,
     workers: usize,
-) -> block_async_relax::core::FaultedSolve {
+) -> FaultedSolve {
     let n = a.n_rows();
     let rhs = a.mul_vec(&vec![1.0; n]).unwrap();
-    let x0 = vec![0.0; n];
     let partition = RowPartition::uniform(n, block).unwrap();
     let solver = AsyncBlockSolver::async_k(5);
     let opts = SolveOptions { max_iters: budget, tol, record_history: false, check_every: 10 };
-    solver
-        .solve_faulted(a, &rhs, &x0, &partition, &opts, plan, Some(&tuning(workers, 1)))
-        .unwrap()
+    solve_under_plan(&solver, a, &rhs, &partition, &opts, plan, tuning(workers, 1))
 }
 
 proptest! {
@@ -64,15 +80,12 @@ proptest! {
         let a = laplacian_2d_5pt(8);
         let n = a.n_rows();
         let rhs = vec![1.0; n];
-        let x0 = vec![0.0; n];
         let partition = RowPartition::uniform(n, block).unwrap();
         let plan = FaultPlan::new().kill(victim % workers, t0).with_recovery(t_r);
         let solver = AsyncBlockSolver::async_k(2);
         let opts =
             SolveOptions { max_iters: 40, tol: 0.0, record_history: false, check_every: 10 };
-        let fs = solver
-            .solve_faulted(&a, &rhs, &x0, &partition, &opts, &plan, Some(&tuning(workers, lag)))
-            .unwrap();
+        let fs = solve_under_plan(&solver, &a, &rhs, &partition, &opts, &plan, tuning(workers, lag));
         let fault = &fs.report.fault;
         prop_assert!(
             fs.trace.max_skew <= lag + 1 + fault.max_outage_rounds,
