@@ -18,7 +18,7 @@
 //! discrete-event simulator for reproducible experiments, or real threads
 //! for genuine hardware chaos.
 
-use crate::convergence::{check_system, relative_residual_with, SolveOptions, SolveResult};
+use crate::convergence::{check_system, finish, relative_residual_with, SolveOptions, SolveResult};
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
 use abr_gpu::{
@@ -292,11 +292,7 @@ impl AsyncBlockSolver {
             }
         }
 
-        let final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
-        if opts.tol > 0.0 && final_residual <= opts.tol {
-            converged = true;
-        }
-        Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+        Ok(finish(a, rhs, x, iterations, converged, history, opts.tol))
     }
 
     /// The [`PersistentOptions`] this solver's executor resolves to: the
@@ -552,7 +548,7 @@ pub const FUSED_FORCE_EXACT_EVERY: usize = 8;
 
 /// Endgame window of [`ResidualMonitor`]: an exact check whose relative
 /// residual lands within this factor above the tolerance marks the run
-/// [`urgent`](crate::ConvergenceMonitor::urgent) — a couple of rounds of
+/// [`urgent`](abr_gpu::ConvergenceMonitor::urgent) — a couple of rounds of
 /// typical contraction away from stopping — and the executor then polls
 /// at full pace instead of sleeping a multiple of the check's cost. A
 /// converging run spends only its last few polls inside the window, so

@@ -3,7 +3,7 @@
 //! but the asynchronous relaxation methods still converge
 //! (diagonal dominance gives `rho(|B|) < 1`).
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, finish, SolveOptions, SolveResult};
 use crate::pcg::Preconditioner;
 use abr_sparse::{blas1, CsrMatrix, Result};
 
@@ -91,11 +91,7 @@ pub fn bicgstab<P: Preconditioner>(
         }
     }
 
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(finish(a, b, x, iterations, converged, history, opts.tol))
 }
 
 #[cfg(test)]

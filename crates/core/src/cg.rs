@@ -2,7 +2,7 @@
 //! Linear Systems*, alg. 6.18) — the "highly tuned GPU CG" the paper's
 //! §4.4 compares the block-asynchronous method against.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, finish, SolveOptions, SolveResult};
 use abr_sparse::{blas1, CsrMatrix, Result};
 
 /// Solves the SPD system `A x = b` with plain (unpreconditioned) CG.
@@ -53,11 +53,7 @@ pub fn conjugate_gradient(
         }
     }
 
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(finish(a, b, x, iterations, converged, history, opts.tol))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! the classic middle ground between stationary relaxation and Krylov
 //! methods).
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, finish, inverse_diagonal, SolveOptions, SolveResult};
 use abr_sparse::scaling::jacobi_operator_extremes;
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
@@ -26,7 +26,7 @@ pub fn chebyshev(
             "need 0 < lambda_min <= lambda_max, got [{lambda_min}, {lambda_max}]"
         )));
     }
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
+    let inv_diag = inverse_diagonal(a)?;
     let theta = 0.5 * (lambda_max + lambda_min);
     let delta = 0.5 * (lambda_max - lambda_min);
 
@@ -75,11 +75,7 @@ pub fn chebyshev(
         }
     }
 
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(finish(a, b, x, iterations, converged, history, opts.tol))
 }
 
 /// Chebyshev with Lanczos-estimated eigenvalue bounds (slightly widened

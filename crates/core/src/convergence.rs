@@ -1,8 +1,10 @@
 //! Solver options, results, and residual bookkeeping shared by every
-//! method in this crate.
+//! method in this crate, plus the one driver loop (`stationary`) every
+//! stationary method runs on and the one result tail (`finish`) every
+//! solver ends in.
 
 use abr_sparse::par::ParContext;
-use abr_sparse::{blas1, CsrMatrix};
+use abr_sparse::{blas1, CsrMatrix, Result};
 
 /// Options common to all iterative solvers.
 #[derive(Debug, Clone)]
@@ -19,9 +21,11 @@ pub struct SolveOptions {
     /// async-(k) solves (`ExecutorKind::Threaded`) ignore it and return
     /// an empty history.
     pub record_history: bool,
-    /// For asynchronous methods: how many global iterations to run between
-    /// convergence checks (each check is a synchronisation point of the
-    /// *driver*, not of the iteration itself).
+    /// How many (global) iterations to run between convergence checks, for
+    /// every stationary solver and for async-(k) (each check is a
+    /// synchronisation point of the *driver*, not of the iteration
+    /// itself). `0` means every iteration, like `1`. Ignored when
+    /// `tol = 0`; `record_history` checks every iteration regardless.
     pub check_every: usize,
 }
 
@@ -128,6 +132,95 @@ pub(crate) fn check_system(a: &CsrMatrix, b: &[f64], x0: &[f64]) {
     assert_eq!(x0.len(), a.n_rows(), "initial guess length mismatch");
 }
 
+/// The driver loop of every stationary method: runs `sweep` on the
+/// iterate (started at `x0`) until `opts.max_iters` iterations, checking
+/// the relative residual every `opts.check_every` iterations (`0` counts
+/// as `1`), or every iteration when recording history. Stops once a
+/// check meets `opts.tol` or comes back non-finite (diverged to inf/nan:
+/// stop burning cycles), and ends in [`finish`].
+pub(crate) fn stationary(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: &[f64],
+    opts: &SolveOptions,
+    mut sweep: impl FnMut(&mut Vec<f64>),
+) -> SolveResult {
+    let check_every = opts.check_every.max(1);
+    let mut x = x0.to_vec();
+    let mut rbuf = Vec::new();
+    let mut history = Vec::new();
+    let mut iterations = 0;
+    let mut converged = false;
+    while iterations < opts.max_iters {
+        sweep(&mut x);
+        iterations += 1;
+        let due = opts.tol > 0.0 && iterations % check_every == 0;
+        if opts.record_history || due {
+            let rr = relative_residual_with(&mut rbuf, a, b, &x);
+            if opts.record_history {
+                history.push(rr);
+            }
+            if opts.tol > 0.0 && rr <= opts.tol {
+                converged = true;
+                break;
+            }
+            if !rr.is_finite() {
+                break;
+            }
+        }
+    }
+    finish(a, b, x, iterations, converged, history, opts.tol)
+}
+
+/// The result tail of every solver: the exact final relative residual of
+/// `x`, and `converged` also set when that residual meets `tol`.
+pub(crate) fn finish(
+    a: &CsrMatrix,
+    b: &[f64],
+    x: Vec<f64>,
+    iterations: usize,
+    converged: bool,
+    history: Vec<f64>,
+    tol: f64,
+) -> SolveResult {
+    let final_residual = relative_residual(a, b, &x);
+    let converged = converged || (tol > 0.0 && final_residual <= tol);
+    SolveResult { x, iterations, converged, final_residual, history, fault: None }
+}
+
+/// `1 / a_ii` per row; fails fast on a zero diagonal.
+pub(crate) fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>> {
+    Ok(a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect())
+}
+
+/// The Gauss-Seidel value of row `i` against the iterate `x`:
+/// `(b_i - sum_{j != i} a_ij x_j) / a_ii`, with `inv_diag` from
+/// [`inverse_diagonal`].
+#[inline]
+pub(crate) fn relaxed_row(a: &CsrMatrix, b: &[f64], inv_diag: &[f64], x: &[f64], i: usize) -> f64 {
+    let mut acc = b[i];
+    for (j, v) in a.row_iter(i) {
+        if j != i {
+            acc -= v * x[j];
+        }
+    }
+    acc * inv_diag[i]
+}
+
+/// One in-place Gauss-Seidel sweep over `rows`, in that order: each row
+/// is replaced by its [`relaxed_row`] value, so later rows see it.
+pub(crate) fn gs_sweep(
+    a: &CsrMatrix,
+    b: &[f64],
+    inv_diag: &[f64],
+    x: &mut [f64],
+    rows: impl IntoIterator<Item = usize>,
+) {
+    for i in rows {
+        x[i] = relaxed_row(a, b, inv_diag, x, i);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +288,42 @@ mod tests {
         let o = SolveOptions::to_tolerance(1e-9, 200);
         assert_eq!(o.tol, 1e-9);
         assert!(!o.record_history);
+    }
+
+    #[test]
+    fn check_every_zero_means_every_iteration() {
+        use crate::scaled::damped_jacobi;
+        use crate::{block_jacobi, gauss_seidel, jacobi, sor};
+        use abr_sparse::RowPartition;
+        type Run = fn(&CsrMatrix, &[f64], &[f64], &SolveOptions) -> SolveResult;
+        let runs: [(&str, Run); 5] = [
+            ("jacobi", |a, b, x0, o| jacobi(a, b, x0, o).unwrap()),
+            ("gauss_seidel", |a, b, x0, o| gauss_seidel(a, b, x0, o).unwrap()),
+            ("sor", |a, b, x0, o| sor(a, b, x0, 1.3, o).unwrap()),
+            ("damped_jacobi", |a, b, x0, o| damped_jacobi(a, b, x0, 0.8, o).unwrap()),
+            ("block_jacobi", |a, b, x0, o| {
+                let p = RowPartition::uniform(a.n_rows(), 4).unwrap();
+                block_jacobi(a, b, x0, &p, 2, o).unwrap()
+            }),
+        ];
+        let a = abr_sparse::gen::laplacian_2d_5pt(6);
+        let b: Vec<f64> = (0..36).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
+        let x0 = vec![0.0; 36];
+        let opts = |check_every| SolveOptions {
+            max_iters: 2000,
+            tol: 1e-8,
+            record_history: false,
+            check_every,
+        };
+        for (name, run) in runs {
+            let zero = run(&a, &b, &x0, &opts(0));
+            let one = run(&a, &b, &x0, &opts(1));
+            assert!(zero.converged, "{name}");
+            assert_eq!(zero.iterations, one.iterations, "{name}");
+            assert_eq!(zero.final_residual.to_bits(), one.final_residual.to_bits(), "{name}");
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&zero.x), bits(&one.x), "{name}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! the synchronous CPU reference the paper compares against, plus a
 //! red-black (two-colour) variant that parallelises on grids.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{
+    check_system, gs_sweep, inverse_diagonal, stationary, SolveOptions, SolveResult,
+};
 use abr_sparse::{CsrMatrix, Result};
 
 /// Solves `A x = b` with forward Gauss-Seidel sweeps.
@@ -14,46 +16,9 @@ pub fn gauss_seidel(
     opts: &SolveOptions,
 ) -> Result<SolveResult> {
     check_system(a, b, x0);
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
+    let inv_diag = inverse_diagonal(a)?;
     let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(stationary(a, b, x0, opts, |x| gs_sweep(a, b, &inv_diag, x, 0..n)))
 }
 
 /// Backward Gauss-Seidel sweeps (rows in descending order).
@@ -64,46 +29,9 @@ pub fn gauss_seidel_backward(
     opts: &SolveOptions,
 ) -> Result<SolveResult> {
     check_system(a, b, x0);
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
+    let inv_diag = inverse_diagonal(a)?;
     let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in (0..n).rev() {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(stationary(a, b, x0, opts, |x| gs_sweep(a, b, &inv_diag, x, (0..n).rev())))
 }
 
 /// Symmetric Gauss-Seidel: one forward followed by one backward sweep per
@@ -116,62 +44,19 @@ pub fn gauss_seidel_symmetric(
     opts: &SolveOptions,
 ) -> Result<SolveResult> {
     check_system(a, b, x0);
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
+    let inv_diag = inverse_diagonal(a)?;
     let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        for i in (0..n).rev() {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(stationary(a, b, x0, opts, |x| {
+        gs_sweep(a, b, &inv_diag, x, (0..n).chain((0..n).rev()))
+    }))
 }
 
 /// Red-black Gauss-Seidel: rows are two-coloured by `colour[i]`, all rows
 /// of colour 0 update first (in parallel, conceptually), then colour 1.
 /// For 5-point-stencil grids with a checkerboard colouring this is an
 /// exact Gauss-Seidel reordering; for general matrices it is a block
-/// two-stage method.
+/// two-stage method. This is [`gauss_seidel_multicolor`] with two
+/// colour classes (`false` before `true`).
 pub fn gauss_seidel_red_black(
     a: &CsrMatrix,
     b: &[f64],
@@ -179,53 +64,8 @@ pub fn gauss_seidel_red_black(
     colour: &[bool],
     opts: &SolveOptions,
 ) -> Result<SolveResult> {
-    check_system(a, b, x0);
-    assert_eq!(colour.len(), a.n_rows(), "one colour per row");
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for phase in [false, true] {
-            for i in 0..n {
-                if colour[i] != phase {
-                    continue;
-                }
-                let mut acc = b[i];
-                for (j, v) in a.row_iter(i) {
-                    if j != i {
-                        acc -= v * x[j];
-                    }
-                }
-                x[i] = acc * inv_diag[i];
-            }
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    let colors: Vec<usize> = colour.iter().map(|&c| usize::from(c)).collect();
+    gauss_seidel_multicolor(a, b, x0, &colors, opts)
 }
 
 /// Multi-colour Gauss-Seidel: rows update colour class by colour class
@@ -243,53 +83,11 @@ pub fn gauss_seidel_multicolor(
 ) -> Result<SolveResult> {
     check_system(a, b, x0);
     assert_eq!(colors.len(), a.n_rows(), "one colour per row");
-    let n_colors = colors.iter().copied().max().map_or(0, |m| m + 1);
-    // rows grouped by colour, preserving order within a class
-    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); n_colors];
-    for (i, &c) in colors.iter().enumerate() {
-        classes[c].push(i);
-    }
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for class in &classes {
-            for &i in class {
-                let mut acc = b[i];
-                for (j, v) in a.row_iter(i) {
-                    if j != i {
-                        acc -= v * x[j];
-                    }
-                }
-                x[i] = acc * inv_diag[i];
-            }
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    // rows ordered by colour, preserving order within a class (stable sort)
+    let mut order: Vec<usize> = (0..a.n_rows()).collect();
+    order.sort_by_key(|&i| colors[i]);
+    let inv_diag = inverse_diagonal(a)?;
+    Ok(stationary(a, b, x0, opts, |x| gs_sweep(a, b, &inv_diag, x, order.iter().copied())))
 }
 
 /// Checkerboard colouring for an `m x m` grid ordered row-major.

@@ -6,7 +6,7 @@
 //! programme avoids, which makes it the natural contrast baseline for
 //! nonsymmetric systems.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, finish, SolveOptions, SolveResult};
 use crate::pcg::Preconditioner;
 use abr_sparse::{blas1, CsrMatrix, Result, SparseError};
 
@@ -137,11 +137,7 @@ pub fn gmres<P: Preconditioner>(
         solve_and_update(a, prec, &mut x, &basis, &h, &g, j, b)?;
     }
 
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(finish(a, b, x, iterations, converged, history, opts.tol))
 }
 
 /// Back-substitutes the triangularised Hessenberg system for the `k`

@@ -1,7 +1,9 @@
 //! The synchronous Jacobi method (paper §2.1, Eq. 2):
 //! `x_i^{k+1} = (b_i - sum_{j != i} a_ij x_j^k) / a_ii`.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{
+    check_system, inverse_diagonal, relaxed_row, stationary, SolveOptions, SolveResult,
+};
 use abr_sparse::{CsrMatrix, Result};
 
 /// Solves `A x = b` with Jacobi iterations starting from `x0`.
@@ -9,49 +11,14 @@ use abr_sparse::{CsrMatrix, Result};
 /// Converges iff `rho(I - D^{-1}A) < 1`. Fails fast on a zero diagonal.
 pub fn jacobi(a: &CsrMatrix, b: &[f64], x0: &[f64], opts: &SolveOptions) -> Result<SolveResult> {
     check_system(a, b, x0);
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut x_new = vec![0.0; n];
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x_new[i] = acc * inv_diag[i];
+    let inv_diag = inverse_diagonal(a)?;
+    let mut x_new = vec![0.0; a.n_rows()];
+    Ok(stationary(a, b, x0, opts, |x| {
+        for (i, xi) in x_new.iter_mut().enumerate() {
+            *xi = relaxed_row(a, b, &inv_diag, x, i);
         }
-        std::mem::swap(&mut x, &mut x_new);
-        iterations += 1;
-
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break; // diverged to inf/nan: stop burning cycles
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+        std::mem::swap(x, &mut x_new);
+    }))
 }
 
 #[cfg(test)]

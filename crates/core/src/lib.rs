@@ -19,6 +19,13 @@
 //!   [`scaled`] (paper §4.2's remedy for `s1rmt3m1`).
 //! * Extensions the paper lists as future work (§5): relaxation methods
 //!   as [`smoother`]s inside an aggregation-based [`multigrid`].
+//!
+//! Every stationary method runs on one crate-private driver loop in
+//! [`convergence`], which owns the residual checks, the history, the
+//! stopping rule and the result; a method is just its sweep over the
+//! iterate. A new stationary method is therefore one sweep closure
+//! (built from the shared Gauss-Seidel / damped-Jacobi row kernels where
+//! they fit), not another copy of the loop.
 
 pub mod async_block;
 pub mod bicgstab;

@@ -9,7 +9,7 @@
 //! exhibits mesh-independent-ish convergence on the Poisson family — the
 //! point here is the *smoother comparison*, not state-of-the-art AMG.
 
-use crate::convergence::{relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{finish, relative_residual, SolveOptions, SolveResult};
 use crate::smoother::Smoother;
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
@@ -101,11 +101,7 @@ impl<S: Smoother> Multigrid<S> {
                 break;
             }
         }
-        let final_residual = relative_residual(a, b, &x);
-        if opts.tol > 0.0 && final_residual <= opts.tol {
-            converged = true;
-        }
-        Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+        Ok(finish(a, b, x, iterations, converged, history, opts.tol))
     }
 
     fn v_cycle(&self, level: usize, b: &[f64], x: &mut Vec<f64>) -> Result<()> {

@@ -9,7 +9,7 @@
 //! like a rock). [`JacobiPreconditioner`] is therefore the baseline the
 //! `fig9` experiment uses.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, finish, SolveOptions, SolveResult};
 use abr_sparse::{blas1, CsrMatrix, DenseMatrix, Result, RowPartition, SparseError};
 
 /// A symmetric positive-definite preconditioner: `z = M^{-1} r`.
@@ -156,11 +156,7 @@ pub fn pcg<P: Preconditioner>(
         }
     }
 
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(finish(a, b, x, iterations, converged, history, opts.tol))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! sweeps of async-(k) via [`crate::AsyncBlockSolver::damping`].
 
 use crate::async_block::AsyncBlockSolver;
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, inverse_diagonal, stationary, SolveOptions, SolveResult};
 use abr_sparse::scaling::optimal_tau;
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
@@ -24,42 +24,30 @@ pub fn damped_jacobi(
     if tau <= 0.0 || !tau.is_finite() {
         return Err(SparseError::Generator(format!("damping must be positive, got {tau}")));
     }
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut r = vec![0.0; n];
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
+    let inv_diag = inverse_diagonal(a)?;
+    let mut ax = vec![0.0; a.n_rows()];
+    Ok(stationary(a, b, x0, opts, |x| {
+        damped_jacobi_sweep(a, b, &inv_diag, tau, x, &mut ax)
+            .expect("dimensions checked by solver entry")
+    }))
+}
 
-    for _ in 0..opts.max_iters {
-        a.spmv(&x, &mut r)?;
-        for i in 0..n {
-            x[i] += tau * inv_diag[i] * (b[i] - r[i]);
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
+/// One damped Jacobi sweep `x <- x + tau D^{-1}(b - A x)` in place, with
+/// `ax` as the SpMV scratch (`inv_diag` from
+/// [`inverse_diagonal`](crate::convergence::inverse_diagonal)).
+pub(crate) fn damped_jacobi_sweep(
+    a: &CsrMatrix,
+    b: &[f64],
+    inv_diag: &[f64],
+    tau: f64,
+    x: &mut [f64],
+    ax: &mut [f64],
+) -> Result<()> {
+    a.spmv(x, ax)?;
+    for i in 0..x.len() {
+        x[i] += tau * inv_diag[i] * (b[i] - ax[i]);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(())
 }
 
 /// Damped Jacobi with the optimal `tau = 2/(lambda_1 + lambda_n)`

@@ -4,7 +4,8 @@
 //! preconditioner or smoother in multigrid").
 
 use crate::async_block::AsyncBlockSolver;
-use crate::convergence::SolveOptions;
+use crate::convergence::{gs_sweep, inverse_diagonal, SolveOptions};
+use crate::scaled::damped_jacobi_sweep;
 use abr_sparse::{CsrMatrix, Result, RowPartition};
 
 /// A smoother: damps the high-frequency error of an approximate solution.
@@ -29,14 +30,10 @@ impl Default for DampedJacobiSmoother {
 
 impl Smoother for DampedJacobiSmoother {
     fn smooth(&self, a: &CsrMatrix, b: &[f64], x: &mut Vec<f64>, sweeps: usize) -> Result<()> {
-        let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-        let n = a.n_rows();
-        let mut ax = vec![0.0; n];
+        let inv_diag = inverse_diagonal(a)?;
+        let mut ax = vec![0.0; a.n_rows()];
         for _ in 0..sweeps {
-            a.spmv(x, &mut ax)?;
-            for i in 0..n {
-                x[i] += self.tau * inv_diag[i] * (b[i] - ax[i]);
-            }
+            damped_jacobi_sweep(a, b, &inv_diag, self.tau, x, &mut ax)?;
         }
         Ok(())
     }
@@ -48,18 +45,9 @@ pub struct GaussSeidelSmoother;
 
 impl Smoother for GaussSeidelSmoother {
     fn smooth(&self, a: &CsrMatrix, b: &[f64], x: &mut Vec<f64>, sweeps: usize) -> Result<()> {
-        let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-        let n = a.n_rows();
+        let inv_diag = inverse_diagonal(a)?;
         for _ in 0..sweeps {
-            for i in 0..n {
-                let mut acc = b[i];
-                for (j, v) in a.row_iter(i) {
-                    if j != i {
-                        acc -= v * x[j];
-                    }
-                }
-                x[i] = acc * inv_diag[i];
-            }
+            gs_sweep(a, b, &inv_diag, x, 0..a.n_rows());
         }
         Ok(())
     }

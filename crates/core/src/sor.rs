@@ -3,7 +3,9 @@
 //! consistently ordered SPD systems is
 //! `omega* = 2 / (1 + sqrt(1 - rho_J^2))`.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{
+    check_system, inverse_diagonal, relaxed_row, stationary, SolveOptions, SolveResult,
+};
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
 /// Solves `A x = b` with SOR sweeps of weight `omega` in `(0, 2)`.
@@ -20,47 +22,13 @@ pub fn sor(
             "SOR weight must lie in (0, 2), got {omega}"
         )));
     }
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            let gs = acc * inv_diag[i];
+    let inv_diag = inverse_diagonal(a)?;
+    Ok(stationary(a, b, x0, opts, |x| {
+        for i in 0..x.len() {
+            let gs = relaxed_row(a, b, &inv_diag, x, i);
             x[i] += omega * (gs - x[i]);
         }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    }))
 }
 
 /// The optimal SOR weight from the Jacobi spectral radius `rho_j`.
