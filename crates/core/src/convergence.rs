@@ -1,7 +1,9 @@
 //! Solver options, results, and residual bookkeeping shared by every
 //! method in this crate, plus the one driver loop (`stationary`) every
 //! stationary method runs on and the one result tail (`finish`) every
-//! solver ends in.
+//! sequential solver and the simulator path of async-(k) end in. The
+//! persistent `AsyncBlockSolver::solve_session` keeps its own tail (the
+//! stopped-snapshot settle and the fault report).
 
 use abr_sparse::par::ParContext;
 use abr_sparse::{blas1, CsrMatrix, Result};
@@ -172,8 +174,9 @@ pub(crate) fn stationary(
     finish(a, b, x, iterations, converged, history, opts.tol)
 }
 
-/// The result tail of every solver: the exact final relative residual of
-/// `x`, and `converged` also set when that residual meets `tol`.
+/// The result tail of every sequential solver and of the simulator path
+/// of async-(k): the exact final relative residual of `x`, and
+/// `converged` also set when that residual meets `tol`.
 pub(crate) fn finish(
     a: &CsrMatrix,
     b: &[f64],

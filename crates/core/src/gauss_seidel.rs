@@ -47,7 +47,8 @@ pub fn gauss_seidel_symmetric(
     let inv_diag = inverse_diagonal(a)?;
     let n = a.n_rows();
     Ok(stationary(a, b, x0, opts, |x| {
-        gs_sweep(a, b, &inv_diag, x, (0..n).chain((0..n).rev()))
+        gs_sweep(a, b, &inv_diag, x, 0..n);
+        gs_sweep(a, b, &inv_diag, x, (0..n).rev());
     }))
 }
 

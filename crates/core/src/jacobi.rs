@@ -14,11 +14,20 @@ pub fn jacobi(a: &CsrMatrix, b: &[f64], x0: &[f64], opts: &SolveOptions) -> Resu
     let inv_diag = inverse_diagonal(a)?;
     let mut x_new = vec![0.0; a.n_rows()];
     Ok(stationary(a, b, x0, opts, |x| {
-        for (i, xi) in x_new.iter_mut().enumerate() {
-            *xi = relaxed_row(a, b, &inv_diag, x, i);
-        }
+        jacobi_sweep(a, b, &inv_diag, x, &mut x_new);
         std::mem::swap(x, &mut x_new);
     }))
+}
+
+/// One Jacobi sweep: every row of `x_new` gets its [`relaxed_row`] value
+/// against the old iterate `x`. A function of its own rather than a loop
+/// inside the driver closure, so the slices arrive as parameters the
+/// compiler can keep in registers across the rows instead of reloading
+/// them through the closure's captures.
+fn jacobi_sweep(a: &CsrMatrix, b: &[f64], inv_diag: &[f64], x: &[f64], x_new: &mut [f64]) {
+    for (i, xi) in x_new.iter_mut().enumerate() {
+        *xi = relaxed_row(a, b, inv_diag, x, i);
+    }
 }
 
 #[cfg(test)]

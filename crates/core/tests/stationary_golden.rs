@@ -8,9 +8,8 @@
 //! to a solver's numerics, its stopping rule or its residual bookkeeping
 //! moves the fingerprint; a pure refactor of the driver loop must not.
 //!
-//! To re-pin after an *intended* numerical change, run with
-//! `GOLDEN_PRINT=1 cargo test --test stationary_golden -- --nocapture`
-//! and paste the printed table.
+//! A failing check prints the moved entries and the whole table as
+//! computed, ready to paste after an *intended* numerical change.
 
 use abr_core::chebyshev::chebyshev;
 use abr_core::gauss_seidel::checkerboard;
@@ -154,19 +153,16 @@ fn fingerprints(solvers: &[(&'static str, Solver)]) -> Vec<(String, u64)> {
 }
 
 fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
-    if std::env::var_os("GOLDEN_PRINT").is_some() {
-        for (name, fp) in got {
-            println!("        (\"{name}\", {fp:#018x}),");
-        }
-    }
-    assert_eq!(got.len(), pinned.len(), "pin table length");
+    let table: String =
+        got.iter().map(|(name, fp)| format!("        (\"{name}\", {fp:#018x}),\n")).collect();
+    assert_eq!(got.len(), pinned.len(), "pin table length; computed table:\n{table}");
     let moved: Vec<String> = got
         .iter()
         .zip(pinned)
         .filter(|((name, fp), (pname, pfp))| name != pname || fp != pfp)
         .map(|((name, fp), (_, pfp))| format!("{name}: got {fp:#018x}, pinned {pfp:#018x}"))
         .collect();
-    assert!(moved.is_empty(), "results moved:\n{}", moved.join("\n"));
+    assert!(moved.is_empty(), "results moved:\n{}\ncomputed table:\n{table}", moved.join("\n"));
 }
 
 #[test]
