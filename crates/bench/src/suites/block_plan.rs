@@ -2,7 +2,7 @@
 //! `reference`, the packed-CSR `csr` tier, the scalar-ELL `plan` tier
 //! (PR 1's headline path, kept under its old name so the JSON stays
 //! comparable), the four-lane `simd` tier, and the matrix-free `stencil`
-//! tier where a verified descriptor exists.
+//! tier on systems whose plan selects it.
 //!
 //! For each system and each k in {1, 5}, one "iteration" updates
 //! **every** block once against a fixed iterate through
@@ -20,10 +20,9 @@
 //! shows up as an actual traffic drop (no stored operator).
 
 use crate::bench_partition;
-use abr_core::async_block::{AsyncJacobiKernel, LocalSweep};
+use abr_core::async_block::AsyncJacobiKernel;
 use abr_gpu::{BlockKernel, BlockScratch, XView};
-use abr_sparse::gen::{laplacian_2d_5pt_stencil, random_diag_dominant};
-use abr_sparse::stencil::StencilDescriptor;
+use abr_sparse::gen::{laplacian_2d_5pt, random_diag_dominant};
 use abr_sparse::{CsrMatrix, RowPartition, SweepTier};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 
@@ -98,13 +97,7 @@ fn bytes_per_update(kernel: &AsyncJacobiKernel<'_>, variant: SweepTier, referenc
     (fixed + k as f64 * per_sweep) / n
 }
 
-fn bench_one_system(
-    c: &mut Criterion,
-    label: &str,
-    a: &CsrMatrix,
-    p: &RowPartition,
-    descriptor: Option<&StencilDescriptor>,
-) {
+fn bench_one_system(c: &mut Criterion, label: &str, a: &CsrMatrix, p: &RowPartition) {
     let n = a.n_rows();
     let rhs = a.mul_vec(&vec![1.0; n]).expect("square");
     let x = varied_iterate(n);
@@ -115,29 +108,12 @@ fn bench_one_system(
     group.throughput(Throughput::Elements(a.nnz() as u64));
     for k in [1usize, 5] {
         let kernel = AsyncJacobiKernel::new(a, &rhs, p, k, 1.0).expect("diag dominant");
-        let stencil_kernel = descriptor.map(|d| {
-            AsyncJacobiKernel::with_sweep_and_stencil(
-                a,
-                &rhs,
-                p,
-                k,
-                1.0,
-                LocalSweep::Jacobi,
-                Some(d),
-            )
-            .expect("verified stencil")
-        });
         let meta = |tier: SweepTier, reference: bool| {
-            let krn = if tier == SweepTier::Stencil {
-                stencil_kernel.as_ref().expect("stencil variant needs a descriptor")
-            } else {
-                &kernel
-            };
             [
                 ("n", n as f64),
                 ("nnz", a.nnz() as f64),
                 ("k", k as f64),
-                ("bytes_per_update", bytes_per_update(krn, tier, reference, k)),
+                ("bytes_per_update", bytes_per_update(&kernel, tier, reference, k)),
             ]
         };
 
@@ -163,12 +139,14 @@ fn bench_one_system(
                 })
             });
         }
-        if let Some(sk) = &stencil_kernel {
+        // the plan's own selection, when every block takes the stencil tier
+        let plan = kernel.plan();
+        if (0..plan.n_blocks()).all(|b| plan.tier(b) == SweepTier::Stencil) {
             let mut scratch = BlockScratch::new();
             group.meta(&meta(SweepTier::Stencil, false));
             group.bench_with_input(BenchmarkId::new("stencil", k), &k, |bch, _| {
                 bch.iter(|| {
-                    sweep_all_blocks_plan(sk, black_box(&x), &mut out, &mut scratch);
+                    sweep_all_blocks_plan(&kernel, black_box(&x), &mut out, &mut scratch);
                     black_box(&out);
                 })
             });
@@ -177,12 +155,12 @@ fn bench_one_system(
     group.finish();
 }
 
-/// The acceptance-criterion system: 100x100 grid, n = 10_000, with the
-/// verified 5-point descriptor enabling the `stencil` variant.
+/// The acceptance-criterion system: 100x100 grid, n = 10_000, one grid
+/// row per block, so every block takes the `stencil` tier.
 pub fn bench_laplacian(c: &mut Criterion) {
-    let (a, d) = laplacian_2d_5pt_stencil(100);
+    let a = laplacian_2d_5pt(100);
     let p = bench_partition(a.n_rows(), 100);
-    bench_one_system(c, "laplacian_100x100", &a, &p, Some(&d));
+    bench_one_system(c, "laplacian_100x100", &a, &p);
 }
 
 /// A random strictly diagonally dominant system — no stencil structure,
@@ -190,7 +168,7 @@ pub fn bench_laplacian(c: &mut Criterion) {
 pub fn bench_random(c: &mut Criterion) {
     let a = random_diag_dominant(10_000, 6, 1.4, 42);
     let p = bench_partition(a.n_rows(), 100);
-    bench_one_system(c, "random_dd_10k", &a, &p, None);
+    bench_one_system(c, "random_dd_10k", &a, &p);
 }
 
 /// The whole suite.

@@ -3,16 +3,14 @@
 //! persistent-worker executor.
 //!
 //! The system is the screened 9-point FEM/FV Poisson operator
-//! (`fv_stencil(m, sigma)`, `n = m^2`): with `sigma = 1.0` its Jacobi
+//! (`fv(m, sigma, 0.0)`, `n = m^2`, whose blocks all take the
+//! matrix-free stencil tier): with `sigma = 1.0` its Jacobi
 //! spectral radius is `(8/3) / (8/3 + 1) ≈ 0.73`, so async-(5) reaches
 //! `1e-8` in tens of global rounds — a *solvable* million-row problem,
 //! unlike the pure Laplacian whose `rho -> 1` puts the tolerance out of
 //! any benchmark's reach. Four groups:
 //!
-//! 1. `scale_solve_1e-8` — the worker-count curve (fused monitoring) plus
-//!    the fused-vs-exact monitor comparison at 8 and 16 workers: the
-//!    acceptance claim that worker-side residual fusion beats the
-//!    exact-SpMV monitor baseline wall-clock at scale.
+//! 1. `scale_solve_1e-8` — the worker-count curve (fused monitoring).
 //! 2. `scale_shards` — the shard-count curve at a fixed worker count.
 //! 3. `scale_poll_cost` — one monitor poll, priced directly: the fused
 //!    O(n_blocks) slot reduce at a fixed 256 blocks against the exact
@@ -26,15 +24,15 @@
 
 use abr_core::async_block::AsyncJacobiKernel;
 use abr_core::convergence::relative_residual_with;
-use abr_core::{LocalSweep, ResidualMonitor};
+use abr_core::ResidualMonitor;
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::RoundRobin;
 use abr_gpu::{
     PersistentExecutor, PersistentOptions, PersistentWorkspace, ResidualSlots, RunSession,
     ShardPlan,
 };
-use abr_sparse::gen::fv_stencil;
-use abr_sparse::{BlockPlan, CsrMatrix, ParContext, RowPartition, StencilDescriptor};
+use abr_sparse::gen::fv;
+use abr_sparse::{BlockPlan, CsrMatrix, ParContext, RowPartition};
 use criterion::{black_box, BenchmarkId, Criterion};
 
 const SIGMA: f64 = 1.0;
@@ -53,38 +51,31 @@ pub fn grid_m() -> usize {
         .max(8)
 }
 
-fn system(m: usize) -> (CsrMatrix, StencilDescriptor, Vec<f64>, RowPartition) {
-    let (a, d) = fv_stencil(m, SIGMA).expect("fv stencil");
+fn system(m: usize) -> (CsrMatrix, Vec<f64>, RowPartition) {
+    let a = fv(m, SIGMA, 0.0).expect("fv");
     let n = a.n_rows();
     let rhs = a.mul_vec(&vec![1.0; n]).expect("square");
     let block = (n / N_BLOCKS).max(1);
     let p = RowPartition::uniform(n, block).expect("partition");
-    (a, d, rhs, p)
+    (a, rhs, p)
 }
 
-/// One persistent solve to `TOL`, fused or exact-monitored; panics if the
-/// tolerance is not reached, so a silently diverging bench cannot record
-/// a fantasy timing.
-#[allow(clippy::too_many_arguments)]
+/// One persistent solve to `TOL`; panics if the tolerance is not
+/// reached, so a silently diverging bench cannot record a fantasy timing.
 fn solve_once(
     a: &CsrMatrix,
     rhs: &[f64],
     kernel: &AsyncJacobiKernel<'_>,
     workers: usize,
-    fused: bool,
     ws: &mut PersistentWorkspace,
     x: &mut Vec<f64>,
     shards: Option<&ShardPlan>,
 ) -> usize {
     let exec = PersistentExecutor::new(PersistentOptions {
         n_workers: workers,
-        fuse_residuals: fused,
         ..PersistentOptions::default()
     });
     let mut monitor = ResidualMonitor::new(a, rhs, TOL, 1);
-    if !fused {
-        monitor = monitor.exact_only();
-    }
     x.clear();
     x.resize(a.n_rows(), 0.0);
     let mut schedule = RoundRobin;
@@ -105,15 +96,13 @@ fn solve_once(
     stopped
 }
 
-/// Worker-count scaling plus the fused-vs-exact monitor comparison.
+/// Worker-count scaling.
 pub fn bench_solve_scaling(c: &mut Criterion) {
     let m = grid_m();
-    let (a, d, rhs, p) = system(m);
+    let (a, rhs, p) = system(m);
     let n = a.n_rows() as f64;
     let nnz = a.nnz() as f64;
-    let kernel =
-        AsyncJacobiKernel::with_sweep_and_stencil(&a, &rhs, &p, 5, 1.0, LocalSweep::Jacobi, Some(&d))
-            .expect("kernel");
+    let kernel = AsyncJacobiKernel::new(&a, &rhs, &p, 5, 1.0).expect("kernel");
     let mut ws = PersistentWorkspace::new();
     let mut x = Vec::new();
     let mut group = c.benchmark_group("scale_solve_1e-8");
@@ -122,18 +111,7 @@ pub fn bench_solve_scaling(c: &mut Criterion) {
         group.meta(&[("n", n), ("nnz", nnz), ("workers", workers as f64)]);
         group.bench_with_input(BenchmarkId::new("fused", workers), &workers, |bch, &w| {
             bch.iter(|| {
-                black_box(solve_once(&a, &rhs, &kernel, w, true, &mut ws, &mut x, None))
-            })
-        });
-    }
-    // The exact-SpMV monitor baseline at the headline worker counts: the
-    // pre-fusion configuration (every poll snapshots and runs an O(nnz)
-    // residual), which fusion must beat wall-clock.
-    for workers in [8usize, 16] {
-        group.meta(&[("n", n), ("nnz", nnz), ("workers", workers as f64)]);
-        group.bench_with_input(BenchmarkId::new("exact_monitor", workers), &workers, |bch, &w| {
-            bch.iter(|| {
-                black_box(solve_once(&a, &rhs, &kernel, w, false, &mut ws, &mut x, None))
+                black_box(solve_once(&a, &rhs, &kernel, w, &mut ws, &mut x, None))
             })
         });
     }
@@ -143,11 +121,9 @@ pub fn bench_solve_scaling(c: &mut Criterion) {
 /// Shard-count scaling at a fixed worker count (even block splits).
 pub fn bench_shard_scaling(c: &mut Criterion) {
     let m = grid_m();
-    let (a, d, rhs, p) = system(m);
+    let (a, rhs, p) = system(m);
     let n = a.n_rows() as f64;
-    let kernel =
-        AsyncJacobiKernel::with_sweep_and_stencil(&a, &rhs, &p, 5, 1.0, LocalSweep::Jacobi, Some(&d))
-            .expect("kernel");
+    let kernel = AsyncJacobiKernel::new(&a, &rhs, &p, 5, 1.0).expect("kernel");
     let nb = p.blocks().len();
     let mut ws = PersistentWorkspace::new();
     let mut x = Vec::new();
@@ -160,7 +136,7 @@ pub fn bench_shard_scaling(c: &mut Criterion) {
         group.meta(&[("n", n), ("shards", shards as f64), ("workers", 8.0)]);
         group.bench_with_input(BenchmarkId::new("even", shards), &shards, |bch, _| {
             bch.iter(|| {
-                black_box(solve_once(&a, &rhs, &kernel, 8, true, &mut ws, &mut x, Some(&plan)))
+                black_box(solve_once(&a, &rhs, &kernel, 8, &mut ws, &mut x, Some(&plan)))
             })
         });
     }
@@ -176,7 +152,7 @@ pub fn bench_poll_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_poll_cost");
     group.sample_size(40);
     for edge in [m / 2, m] {
-        let (a, _, rhs, _) = system(edge);
+        let (a, rhs, _) = system(edge);
         let n = a.n_rows();
         let x = vec![0.5; n];
         let mut slots = ResidualSlots::new();
@@ -200,24 +176,21 @@ pub fn bench_poll_cost(c: &mut Criterion) {
 /// sibling — the other half of the setup pipeline).
 pub fn bench_compile(c: &mut Criterion) {
     let m = grid_m();
-    let (a, d, _, p) = system(m);
+    let (a, _, p) = system(m);
     let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1).min(8);
     let mut group = c.benchmark_group("scale_compile");
     group.sample_size(10);
     group.meta(&[("n", a.n_rows() as f64), ("nnz", a.nnz() as f64), ("threads", 1.0)]);
     group.bench_function("sequential", |bch| {
         bch.iter(|| {
-            black_box(
-                BlockPlan::compile_with_ctx(&a, &p, Some(&d), ParContext::new(1)).expect("compile"),
-            )
+            black_box(BlockPlan::compile_with_ctx(&a, &p, ParContext::new(1)).expect("compile"))
         })
     });
     group.meta(&[("n", a.n_rows() as f64), ("nnz", a.nnz() as f64), ("threads", threads as f64)]);
     group.bench_function("parallel", |bch| {
         bch.iter(|| {
             black_box(
-                BlockPlan::compile_with_ctx(&a, &p, Some(&d), ParContext::new(threads))
-                    .expect("compile"),
+                BlockPlan::compile_with_ctx(&a, &p, ParContext::new(threads)).expect("compile"),
             )
         })
     });

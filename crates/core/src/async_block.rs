@@ -28,7 +28,7 @@ use abr_gpu::{
 };
 use abr_sparse::block_plan::BlockEll;
 use abr_sparse::simd::{f64x4, LANES};
-use abr_sparse::stencil::{StencilBlock, StencilDescriptor};
+use abr_sparse::stencil::StencilBlock;
 use abr_sparse::{BlockPlan, CsrMatrix, Result, RowPartition, SweepTier};
 
 /// Which block-dispatch schedule the solver uses (see
@@ -179,27 +179,8 @@ impl AsyncBlockSolver {
         opts: &SolveOptions,
         filter: &dyn UpdateFilter,
     ) -> Result<SolveResult> {
-        let kernel = self.compile(a, rhs, partition, None)?;
+        let kernel = self.compile(a, rhs, partition)?;
         self.solve_with_kernel(a, rhs, x0, &kernel, opts, filter)
-    }
-
-    /// Solves with a verified [`StencilDescriptor`] enabling the
-    /// matrix-free sweep tier — the entry point for constant-coefficient
-    /// stencil operators (the `gen::*_stencil` generators return the
-    /// `(matrix, descriptor)` pair). Numerically identical to
-    /// [`solve`](Self::solve): the stencil tier is bit-compatible with
-    /// the stored-matrix tiers, only faster.
-    pub fn solve_with_stencil(
-        &self,
-        a: &CsrMatrix,
-        rhs: &[f64],
-        x0: &[f64],
-        partition: &RowPartition,
-        descriptor: &StencilDescriptor,
-        opts: &SolveOptions,
-    ) -> Result<SolveResult> {
-        let kernel = self.compile(a, rhs, partition, Some(descriptor))?;
-        self.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)
     }
 
     /// Compiles this solver's block kernel (its `k`, damping and sweep
@@ -209,17 +190,15 @@ impl AsyncBlockSolver {
         a: &'a CsrMatrix,
         rhs: &'a [f64],
         partition: &RowPartition,
-        descriptor: Option<&StencilDescriptor>,
     ) -> Result<AsyncJacobiKernel<'a>> {
         assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        AsyncJacobiKernel::with_sweep_and_stencil(
+        AsyncJacobiKernel::with_sweep(
             a,
             rhs,
             partition,
             self.local_iters,
             self.damping,
             self.local_sweep,
-            descriptor,
         )
     }
 
@@ -504,10 +483,6 @@ pub struct ResidualMonitor<'a> {
     /// `‖b‖₂`, cached at construction: the fused fast path normalises the
     /// workers' `‖b − A x‖²` estimate without touching the matrix.
     rhs_norm: f64,
-    /// When set, every fused estimate escalates to the exact check — the
-    /// pre-fusion monitor, kept as the benchmark baseline so the scale
-    /// suite can price the fusion.
-    exact_only: bool,
     /// Fused polls since the last exact check (forced-escalation clock).
     fused_streak: usize,
     /// Last exact check landed within [`URGENT_BAND`] of the tolerance:
@@ -569,21 +544,11 @@ impl<'a> ResidualMonitor<'a> {
             period,
             scratch: Vec::new(),
             rhs_norm: rhs.iter().map(|&b| b * b).sum::<f64>().sqrt(),
-            exact_only: false,
             fused_streak: 0,
             urgent: false,
             last_check: None,
             checks: Vec::new(),
         }
-    }
-
-    /// Disables the fused fast path: every poll escalates to the exact
-    /// residual check, as before fusion existed. The scale bench runs
-    /// this as its baseline; it is also the right mode when the recorded
-    /// trajectory must have a point at every single period.
-    pub fn exact_only(mut self) -> Self {
-        self.exact_only = true;
-        self
     }
 
     /// Consumes the monitor, handing back its residual scratch buffer so
@@ -608,7 +573,7 @@ impl ConvergenceMonitor for ResidualMonitor<'_> {
     }
 
     fn fused_check(&mut self, _global_iteration: usize, estimate_sq: f64) -> bool {
-        if self.exact_only || self.rhs_norm == 0.0 {
+        if self.rhs_norm == 0.0 {
             return true;
         }
         if self.fused_streak + 1 >= FUSED_FORCE_EXACT_EVERY {
@@ -688,23 +653,7 @@ impl<'a> AsyncJacobiKernel<'a> {
         damping: f64,
         local_sweep: LocalSweep,
     ) -> Result<Self> {
-        Self::with_sweep_and_stencil(a, rhs, partition, local_iters, damping, local_sweep, None)
-    }
-
-    /// Builds the kernel with an optional [`StencilDescriptor`] enabling
-    /// the matrix-free sweep tier. The descriptor is verified against `a`
-    /// during plan compilation; a mismatch is an error, never a silent
-    /// fallback.
-    pub fn with_sweep_and_stencil(
-        a: &'a CsrMatrix,
-        rhs: &'a [f64],
-        partition: &RowPartition,
-        local_iters: usize,
-        damping: f64,
-        local_sweep: LocalSweep,
-        descriptor: Option<&StencilDescriptor>,
-    ) -> Result<Self> {
-        let plan = BlockPlan::compile_with_stencil(a, partition, descriptor)?;
+        let plan = BlockPlan::compile(a, partition)?;
         let n = a.n_rows();
         let mut local_span = Vec::with_capacity(n);
         for r in 0..n {
@@ -733,17 +682,21 @@ impl<'a> AsyncJacobiKernel<'a> {
 
     /// Pins every Jacobi block update to `tier` instead of the plan's
     /// per-block selection — the hook the equivalence proptests and the
-    /// bench variants use to compare tiers on identical inputs. A tier a
-    /// block has no compiled data for (ELL on a wide block, stencil
-    /// without a descriptor) falls back to that block's compiled tier;
-    /// `None` restores normal dispatch. Gauss-Seidel sweeps ignore this
-    /// (GS is row-sequential and always walks the packed CSR).
+    /// bench variants use to compare tiers on identical inputs. A block
+    /// that took the `Stencil` tier still has its ELL and CSR data, so
+    /// any stored-matrix tier can be forced on it. A tier a block has no
+    /// compiled data for (ELL on a wide block, `Stencil` on a block whose
+    /// rows do not repeat long enough) falls back to that block's
+    /// compiled tier; `None` restores normal dispatch. Gauss-Seidel
+    /// sweeps ignore this (GS is row-sequential and always walks the
+    /// packed CSR).
     pub fn force_tier(&mut self, tier: Option<SweepTier>) {
         self.tier_override = tier;
     }
 
     /// The tier block `b`'s Jacobi update will actually dispatch to,
     /// after applying any [`force_tier`](Self::force_tier) override.
+    /// Without one it is the plan's compiled tier ([`BlockPlan::tier`]).
     pub fn resolved_tier(&self, b: usize) -> SweepTier {
         let compiled = self.plan.tier(b);
         match self.tier_override {
@@ -936,9 +889,10 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// `k` Jacobi sweeps over the matrix-free stencil runs: **zero index
     /// loads** — within a run, the neighbour of row `li` at tap offset
     /// `d` is `cur[li + d]`, a contiguous four-lane load. Taps are in
-    /// ascending offset order (= source CSR column order) with
-    /// coefficients bit-equal to the stored values (enforced by
-    /// [`StencilDescriptor::verify`]), and each tap contributes the same
+    /// ascending offset order (= source CSR column order) and are the
+    /// stored values themselves (the plan derives the runs from the
+    /// packed local CSR, splitting wherever a row's offsets or value bits
+    /// differ from its predecessor's), and each tap contributes the same
     /// product-then-subtract as the other tiers, so this path too is
     /// bit-identical to the packed-CSR sweep. Off-block taps are not in
     /// the runs — they were frozen through the packed halo in step 2.
@@ -1609,18 +1563,16 @@ mod tests {
     fn forced_tiers_agree_bitwise_per_block() {
         // every Jacobi tier — CSR, scalar ELL, f64x4 ELL, matrix-free
         // stencil — on identical inputs, compared bit for bit; blocks of
-        // 14 rows start mid-grid-row so the stencil runs get clipped taps
-        let a = laplacian_2d_5pt(9);
-        let n = 81;
+        // 50 rows start mid-grid-row so the stencil runs get clipped taps
+        let a = laplacian_2d_5pt(20);
+        let n = 400;
         let rhs = a.mul_vec(&vec![1.0; n]).unwrap();
-        let p = RowPartition::uniform(n, 14).unwrap();
-        let d = StencilDescriptor::poisson_2d_5pt(9);
+        let p = RowPartition::uniform(n, 50).unwrap();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0 - 0.5).collect();
         for damping in [1.0, 0.85] {
-            let mut k = AsyncJacobiKernel::with_sweep_and_stencil(
-                &a, &rhs, &p, 4, damping, LocalSweep::Jacobi, Some(&d),
-            )
-            .unwrap();
+            let mut k =
+                AsyncJacobiKernel::with_sweep(&a, &rhs, &p, 4, damping, LocalSweep::Jacobi)
+                    .unwrap();
             let mut base: Vec<Vec<f64>> = Vec::new();
             for tier in [
                 None,
@@ -1660,8 +1612,8 @@ mod tests {
 
     #[test]
     fn incompatible_tier_override_falls_back_to_compiled() {
-        // no descriptor compiled: a Stencil override must quietly resolve
-        // to each block's own tier instead of panicking
+        // random rows form no stencil runs: a Stencil override must
+        // quietly resolve to each block's own tier instead of panicking
         let a = random_diag_dominant(40, 5, 1.4, 2);
         let rhs = vec![1.0; 40];
         let p = RowPartition::uniform(40, 8).unwrap();
@@ -1677,17 +1629,22 @@ mod tests {
     }
 
     #[test]
-    fn stencil_solve_matches_plain_solve_bitwise() {
-        // the deterministic Sim executor end to end: enabling the
-        // matrix-free tier must not change one bit of any iterate
-        let (a, rhs, x_true) = solve_setup(10);
+    fn stencil_solve_matches_csr_solve_bitwise() {
+        // the deterministic Sim executor end to end: the matrix-free tier
+        // `solve` selects must not change one bit of any iterate
+        let (a, rhs, x_true) = solve_setup(16);
         let n = a.n_rows();
-        let d = StencilDescriptor::poisson_2d_5pt(10);
-        let p = RowPartition::uniform(n, 20).unwrap();
+        let p = RowPartition::uniform(n, 32).unwrap();
         let solver = AsyncBlockSolver::async_k(5);
         let opts = SolveOptions::to_tolerance(1e-11, 4000);
-        let plain = solver.solve(&a, &rhs, &vec![0.0; n], &p, &opts).unwrap();
-        let sten = solver.solve_with_stencil(&a, &rhs, &vec![0.0; n], &p, &d, &opts).unwrap();
+        let mut csr = AsyncJacobiKernel::new(&a, &rhs, &p, 5, 1.0).unwrap();
+        for b in 0..csr.n_blocks() {
+            assert_eq!(csr.resolved_tier(b), SweepTier::Stencil, "block {b}");
+        }
+        csr.force_tier(Some(SweepTier::Csr));
+        let x0 = vec![0.0; n];
+        let sten = solver.solve(&a, &rhs, &x0, &p, &opts).unwrap();
+        let plain = solver.solve_with_kernel(&a, &rhs, &x0, &csr, &opts, &AllowAll).unwrap();
         assert!(sten.converged, "residual {}", sten.final_residual);
         assert_eq!(plain.iterations, sten.iterations);
         for ((x1, x2), t) in plain.x.iter().zip(&sten.x).zip(&x_true) {

@@ -503,15 +503,6 @@ pub struct PersistentOptions {
     /// frozen watermark forever — the all-workers-dead termination
     /// guarantee.
     pub stall_timeout: Duration,
-    /// Whether workers publish fused per-block residual sub-norms (via
-    /// [`BlockKernel::update_block_estimating`]) into the workspace's
-    /// [`ResidualSlots`], letting the monitor answer most polls with an
-    /// O(n_blocks) slot reduce instead of an O(n) snapshot + O(nnz)
-    /// exact check ([`ConvergenceMonitor::fused_check`]). The estimate is
-    /// advisory only — stopping always goes through the exact check —
-    /// so disabling this (the bench baseline does, to price the fusion)
-    /// changes cost, never the stopping decision.
-    pub fuse_residuals: bool,
 }
 
 impl Default for PersistentOptions {
@@ -524,7 +515,6 @@ impl Default for PersistentOptions {
             max_round_lag: 1,
             detect_after_rounds: 8,
             stall_timeout: Duration::from_millis(500),
-            fuse_residuals: true,
         }
     }
 }
@@ -1004,7 +994,6 @@ impl PersistentExecutor {
             cycle_rounds,
             ..
         } = *ws;
-        let fuse = self.opts.fuse_residuals;
 
         let stop = SyncBool::new(false);
         let active = SyncUsize::new(n_workers);
@@ -1340,22 +1329,12 @@ impl PersistentExecutor {
                                              sweep of block {block} round {round} panics"
                                         );
                                     }
-                                    if fuse {
-                                        kernel.update_block_estimating(
-                                            block,
-                                            &shard_views[s],
-                                            &mut out,
-                                            &mut scratch,
-                                        )
-                                    } else {
-                                        kernel.update_block_with(
-                                            block,
-                                            &shard_views[s],
-                                            &mut out,
-                                            &mut scratch,
-                                        );
-                                        None
-                                    }
+                                    kernel.update_block_estimating(
+                                        block,
+                                        &shard_views[s],
+                                        &mut out,
+                                        &mut scratch,
+                                    )
                                 },
                             ));
                             if let Ok(estimate) = swept {

@@ -90,7 +90,7 @@ impl ChaosConfig {
             p_hang: p(parts[1])?,
             p_poison: p(parts[2])?,
             recovery: 10,
-            seed: 0xc4a0_5,
+            seed: 0xc_4a05,
         })
     }
 }

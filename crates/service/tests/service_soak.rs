@@ -98,7 +98,7 @@ fn soak_eight_concurrent_tenants_on_one_pool() {
             p_hang: 0.0,
             p_poison: 0.0,
             recovery: 10,
-            seed: 0xc4a0_5,
+            seed: 0xc_4a05,
         }),
         ..DaemonConfig::default()
     })

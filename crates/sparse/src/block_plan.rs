@@ -20,7 +20,10 @@
 //! * a **packed halo segment** per block — the off-block `(column, value)`
 //!   pairs of its rows, contiguous in memory — so freezing the off-block
 //!   contribution `s_i = b_i − Σ_{j∉block} a_ij x_j` is a single linear
-//!   gather instead of two span-sliced passes over the global CSR.
+//!   gather instead of two span-sliced passes over the global CSR;
+//! * **matrix-free stencil runs** for blocks whose rows repeat one
+//!   coefficient pattern, derived from the packed local operator (see
+//!   [`crate::stencil`] and [`STENCIL_MIN_MEAN_RUN`]).
 //!
 //! Entry order within each row is preserved from the source CSR, so a
 //! sweep over the plan is **bit-identical** to the same sweep over the
@@ -29,7 +32,7 @@
 
 use crate::par::ParContext;
 use crate::partition::{RowBlock, RowPartition};
-use crate::stencil::{StencilBlock, StencilDescriptor};
+use crate::stencil::StencilBlock;
 use crate::{CsrMatrix, Result, SparseError};
 
 /// Local-row widths up to this many off-diagonal entries get an
@@ -41,6 +44,16 @@ use crate::{CsrMatrix, Result, SparseError};
 /// at the edge) and moderately filled random rows now stay on the packed
 /// path.
 pub const ELL_MAX_WIDTH: usize = 12;
+
+/// A block takes the matrix-free [`SweepTier::Stencil`] tier when its
+/// local rows group into [`StencilRun`](crate::stencil::StencilRun)s of
+/// at least this many rows on average (`runs × STENCIL_MIN_MEAN_RUN ≤
+/// rows`): the mean run then fills at least one four-lane group, so the
+/// index-free loop does most of the block's work. Rows that repeat one
+/// coefficient pattern are what constant-coefficient stencils assemble
+/// to; graded and unstructured matrices fall far short and keep the
+/// stored-matrix tiers.
+pub const STENCIL_MIN_MEAN_RUN: usize = crate::simd::LANES;
 
 /// Below this many source nonzeros [`BlockPlan::compile`] stays on one
 /// thread — scoped-thread spawn overhead would dominate the compile.
@@ -58,7 +71,9 @@ pub enum SweepTier {
     Ell,
     /// Four-row [`crate::simd::f64x4`] lanes over the ELL layout.
     EllSimd,
-    /// Matrix-free constant-coefficient stencil runs — no index loads.
+    /// Matrix-free runs of rows that repeat one coefficient pattern — no
+    /// index loads. Selected for blocks whose runs average at least
+    /// [`STENCIL_MIN_MEAN_RUN`] rows; such blocks keep their ELL data too.
     Stencil,
 }
 
@@ -140,8 +155,8 @@ pub struct BlockPlan {
     halo_vals: Vec<f64>,
     /// Per block: ELL-packed local operator for short-row blocks.
     ell: Vec<Option<BlockEll>>,
-    /// Per block: matrix-free stencil runs, when compiled against a
-    /// verified [`StencilDescriptor`].
+    /// Per block: matrix-free stencil runs, for the blocks that take
+    /// [`SweepTier::Stencil`].
     stencil: Vec<Option<StencilBlock>>,
     /// Per block: the sweep implementation selected at compile time.
     tier: Vec<SweepTier>,
@@ -166,7 +181,6 @@ struct CompiledBlock {
     halo_cols: Vec<usize>,
     halo_vals: Vec<f64>,
     ell: Option<BlockEll>,
-    stencil: Option<StencilBlock>,
     tier: SweepTier,
     nnz: f64,
     neighbors: Vec<usize>,
@@ -175,38 +189,25 @@ struct CompiledBlock {
 impl BlockPlan {
     /// Compiles the plan. Fails with [`SparseError::ZeroDiagonal`] when a
     /// row has no (or a zero) diagonal entry, like the kernels it feeds.
-    pub fn compile(a: &CsrMatrix, partition: &RowPartition) -> Result<BlockPlan> {
-        Self::compile_with_stencil(a, partition, None)
-    }
-
-    /// Compiles the plan with an optional matrix-free stencil tier. The
-    /// descriptor is [`StencilDescriptor::verify`]-ed against `a` first —
-    /// an `Err` (rather than a silent fallback) when it does not describe
-    /// the matrix exactly, so a caller opting a hand-loaded matrix in
-    /// learns immediately that the fast path would have been wrong.
     ///
     /// Large matrices (≥ [`PAR_COMPILE_MIN_NNZ`] nonzeros) compile their
     /// blocks concurrently on one thread per available core; the result is
     /// bit-identical to the sequential compile (see
     /// [`BlockPlan::compile_with_ctx`] for the argument).
-    pub fn compile_with_stencil(
-        a: &CsrMatrix,
-        partition: &RowPartition,
-        descriptor: Option<&StencilDescriptor>,
-    ) -> Result<BlockPlan> {
+    pub fn compile(a: &CsrMatrix, partition: &RowPartition) -> Result<BlockPlan> {
         let threads = if a.nnz() >= PAR_COMPILE_MIN_NNZ {
             std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1).min(8)
         } else {
             1
         };
-        Self::compile_with_ctx(a, partition, descriptor, ParContext::new(threads))
+        Self::compile_with_ctx(a, partition, ParContext::new(threads))
     }
 
     /// Compiles the plan with an explicit [`ParContext`] for the per-block
     /// compile fan-out.
     ///
-    /// Each block's packed structures depend only on `(a, partition,
-    /// descriptor)` restricted to that block's rows, so blocks compile
+    /// Each block's packed structures depend only on `(a, partition)`
+    /// restricted to that block's rows, so blocks compile
     /// independently (in parallel) and are concatenated **in block order**
     /// with their row pointers rebased. Every array in the result is
     /// therefore byte-for-byte identical for every thread count, and the
@@ -215,12 +216,8 @@ impl BlockPlan {
     pub fn compile_with_ctx(
         a: &CsrMatrix,
         partition: &RowPartition,
-        descriptor: Option<&StencilDescriptor>,
         ctx: ParContext,
     ) -> Result<BlockPlan> {
-        if let Some(d) = descriptor {
-            d.verify(a)?;
-        }
         assert!(a.is_square(), "block plans need a square matrix");
         assert_eq!(partition.n(), a.n_rows(), "partition must cover the matrix");
         let n = a.n_rows();
@@ -231,9 +228,7 @@ impl BlockPlan {
         block_offsets.extend(blocks.iter().map(|b| b.start));
         block_offsets.push(n);
 
-        let compiled = ctx.map_indexed(n_blocks, |b| {
-            Self::compile_block(a, partition, &blocks[b], descriptor)
-        });
+        let compiled = ctx.map_indexed(n_blocks, |b| Self::compile_block(a, partition, &blocks[b]));
 
         // Deterministic merge: blocks concatenate in block order with row
         // pointers rebased by the running totals, reproducing exactly the
@@ -250,7 +245,6 @@ impl BlockPlan {
         let mut halo_cols: Vec<usize> = Vec::with_capacity(total_halo);
         let mut halo_vals: Vec<f64> = Vec::with_capacity(total_halo);
         let mut ell = Vec::with_capacity(n_blocks);
-        let mut stencil = Vec::with_capacity(n_blocks);
         let mut tier = Vec::with_capacity(n_blocks);
         let mut block_nnz = Vec::with_capacity(n_blocks);
         let mut neighbors: Vec<Vec<usize>> = Vec::with_capacity(n_blocks);
@@ -275,11 +269,24 @@ impl BlockPlan {
             halo_cols.extend_from_slice(&part.halo_cols);
             halo_vals.extend_from_slice(&part.halo_vals);
             ell.push(part.ell);
-            stencil.push(part.stencil);
             tier.push(part.tier);
             block_nnz.push(part.nnz);
             neighbors.push(part.neighbors);
         }
+
+        // The runs are built here, on the calling thread, after every
+        // per-block part has been freed. Built inside the parallel
+        // compile, these small long-lived allocations would sit above the
+        // compile threads' freed temporaries and keep that memory from
+        // returning to the system for the plan's lifetime (hundreds of MB
+        // of extra peak RSS over repeated million-row solves).
+        let stencil = (0..n_blocks)
+            .map(|b| {
+                let rows = &local_row_ptr[block_offsets[b]..=block_offsets[b + 1]];
+                (tier[b] == SweepTier::Stencil)
+                    .then(|| StencilBlock::from_local_csr(rows, &local_cols, &local_vals))
+            })
+            .collect();
 
         Ok(BlockPlan {
             n,
@@ -308,7 +315,6 @@ impl BlockPlan {
         a: &CsrMatrix,
         partition: &RowPartition,
         blk: &RowBlock,
-        descriptor: Option<&StencilDescriptor>,
     ) -> Result<CompiledBlock> {
         let nb = blk.len();
         let mut inv_diag = vec![0.0f64; nb];
@@ -357,12 +363,14 @@ impl BlockPlan {
         } else {
             None
         };
-        let stencil = descriptor.map(|d| d.compile_block(blk.start, blk.end));
-        let tier = match (&stencil, &ell) {
-            (Some(_), _) => SweepTier::Stencil,
-            (None, Some(_)) if nb >= crate::simd::LANES => SweepTier::EllSimd,
-            (None, Some(_)) => SweepTier::Ell,
-            (None, None) => SweepTier::Csr,
+        let tier = if StencilBlock::qualifies(&local_ptr, &local_cols, &local_vals) {
+            SweepTier::Stencil
+        } else if ell.is_some() && nb >= crate::simd::LANES {
+            SweepTier::EllSimd
+        } else if ell.is_some() {
+            SweepTier::Ell
+        } else {
+            SweepTier::Csr
         };
         Ok(CompiledBlock {
             inv_diag,
@@ -373,7 +381,6 @@ impl BlockPlan {
             halo_cols,
             halo_vals,
             ell,
-            stencil,
             tier,
             nnz: nnz as f64,
             neighbors: nbr_seen.into_iter().collect(),
@@ -454,8 +461,8 @@ impl BlockPlan {
         self.ell[b].as_ref()
     }
 
-    /// Matrix-free stencil runs of block `b`, when the plan was compiled
-    /// with a verified [`StencilDescriptor`].
+    /// Matrix-free stencil runs of block `b`, when the block takes
+    /// [`SweepTier::Stencil`].
     #[inline]
     pub fn stencil_block(&self, b: usize) -> Option<&StencilBlock> {
         self.stencil[b].as_ref()
@@ -597,25 +604,15 @@ mod tests {
         let plan = BlockPlan::compile(&a, &p).unwrap();
         assert!((0..plan.n_blocks())
             .any(|b| plan.tier(b) == SweepTier::Ell && plan.block_rows(b).1 - plan.block_rows(b).0 < 4));
-        // a verified descriptor beats both
-        let d = crate::stencil::StencilDescriptor::poisson_2d_5pt(5);
-        let p = RowPartition::uniform(25, 5).unwrap();
-        let plan = BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap();
+        // rows repeating one pattern for four rows on average beat both:
+        // one 16-wide grid row per block is three runs of 1, 14 and 1 rows
+        let a = laplacian_2d_5pt(16);
+        let p = RowPartition::uniform(256, 16).unwrap();
+        let plan = BlockPlan::compile(&a, &p).unwrap();
         for b in 0..plan.n_blocks() {
             assert_eq!(plan.tier(b), SweepTier::Stencil);
             assert!(plan.stencil_block(b).is_some(), "stencil runs must be compiled");
         }
-    }
-
-    #[test]
-    fn stencil_compile_rejects_mismatched_descriptor() {
-        let a = laplacian_2d_5pt(5);
-        let p = RowPartition::uniform(25, 5).unwrap();
-        let d = crate::stencil::StencilDescriptor::fv_9pt(5, 0.0); // wrong stencil
-        assert!(matches!(
-            BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap_err(),
-            SparseError::Stencil(_)
-        ));
     }
 
     #[test]
@@ -644,19 +641,14 @@ mod tests {
 
     #[test]
     fn parallel_compile_is_bit_identical_to_sequential() {
+        // block 144 (one block) takes the stencil tier, the others do not
         let a = laplacian_2d_5pt(12);
-        let d = crate::stencil::StencilDescriptor::poisson_2d_5pt(12);
         for block in [5usize, 12, 31, 144] {
             let p = RowPartition::uniform(144, block).unwrap();
-            for desc in [None, Some(&d)] {
-                let seq =
-                    BlockPlan::compile_with_ctx(&a, &p, desc, ParContext::new(1)).unwrap();
-                for threads in [2usize, 3, 7, 16] {
-                    let par =
-                        BlockPlan::compile_with_ctx(&a, &p, desc, ParContext::new(threads))
-                            .unwrap();
-                    assert_eq!(seq, par, "block {block} threads {threads}");
-                }
+            let seq = BlockPlan::compile_with_ctx(&a, &p, ParContext::new(1)).unwrap();
+            for threads in [2usize, 3, 7, 16] {
+                let par = BlockPlan::compile_with_ctx(&a, &p, ParContext::new(threads)).unwrap();
+                assert_eq!(seq, par, "block {block} threads {threads}");
             }
         }
     }
@@ -678,7 +670,7 @@ mod tests {
         let p = RowPartition::uniform(12, 2).unwrap();
         for threads in [1usize, 2, 4, 8] {
             assert_eq!(
-                BlockPlan::compile_with_ctx(&a, &p, None, ParContext::new(threads))
+                BlockPlan::compile_with_ctx(&a, &p, ParContext::new(threads))
                     .unwrap_err(),
                 SparseError::ZeroDiagonal { row: 5 },
                 "threads {threads}"

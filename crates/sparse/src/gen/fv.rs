@@ -20,7 +20,6 @@
 
 use super::poisson::laplacian_2d_9pt;
 use crate::spectra::lanczos_extreme;
-use crate::stencil::StencilDescriptor;
 use crate::{CsrMatrix, Result, SparseError};
 
 /// The 9-point FEM Laplacian with diagonal shift `sigma` and symmetric
@@ -30,19 +29,6 @@ pub fn fv(m: usize, sigma: f64, grading_decades: f64) -> Result<CsrMatrix> {
     let n = m * m;
     let shifted = k.add_scaled(1.0, &CsrMatrix::identity(n), sigma)?;
     super::grade_radial(shifted, m, grading_decades)
-}
-
-/// The *ungraded* `fv` matrix (`grading_decades = 0`) paired with its
-/// [`StencilDescriptor`]: centre `8/3 + sigma`, eight `-1/3` neighbours.
-/// Graded variants are not constant-coefficient and have no stencil form;
-/// the descriptor is verified against the assembled matrix here (an `Err`
-/// would mean generator and descriptor drifted apart), so callers can
-/// hand the pair straight to the matrix-free sweep tier.
-pub fn fv_stencil(m: usize, sigma: f64) -> Result<(CsrMatrix, StencilDescriptor)> {
-    let a = fv(m, sigma, 0.0)?;
-    let d = StencilDescriptor::fv_9pt(m, sigma);
-    d.verify(&a)?;
-    Ok((a, d))
 }
 
 /// Builds an `fv` matrix whose measured `rho(B)` equals `target_rho`.
@@ -129,15 +115,6 @@ mod tests {
         let a = fv_with_target_rho(10, 0.2, 0.0).unwrap();
         let rho = IterationMatrix::new(&a).unwrap().spectral_radius().unwrap();
         assert!((rho - 0.2).abs() < 2e-3, "rho = {rho}");
-    }
-
-    #[test]
-    fn fv_stencil_pair_survives_its_bitwise_cross_check() {
-        // proves the whole assembly pipeline (shift + zero-decade grading
-        // + double transpose) leaves the constant coefficients bit-exact
-        let (a, d) = fv_stencil(8, 0.37).unwrap();
-        assert_eq!(d.n(), a.n_rows());
-        assert_eq!(d.center(), 8.0 / 3.0 + 0.37);
     }
 
     #[test]

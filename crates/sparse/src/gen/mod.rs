@@ -17,10 +17,9 @@ mod structural;
 mod trefethen;
 
 pub use chem::chem_ztz;
-pub use fv::{fv, fv_stencil, fv_with_target_rho};
+pub use fv::{fv, fv_with_target_rho};
 pub use poisson::{
-    convection_diffusion_2d, laplacian_1d, laplacian_2d_5pt, laplacian_2d_5pt_stencil,
-    laplacian_2d_9pt, laplacian_3d_7pt, laplacian_3d_7pt_stencil,
+    convection_diffusion_2d, laplacian_1d, laplacian_2d_5pt, laplacian_2d_9pt, laplacian_3d_7pt,
 };
 pub use primes::{first_primes, sieve_upto};
 pub use random::{random_diag_dominant, random_spd_tridiag_perturbed};

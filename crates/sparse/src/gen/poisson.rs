@@ -2,7 +2,6 @@
 //! iterative-solver analysis, used as building blocks by the `fv` and
 //! `structural` generators and directly in tests/benches.
 
-use crate::stencil::StencilDescriptor;
 use crate::{CooMatrix, CsrMatrix};
 
 /// 1D Laplacian `tridiag(-1, 2, -1)` with Dirichlet boundaries.
@@ -35,27 +34,6 @@ pub fn laplacian_2d_5pt(m: usize) -> CsrMatrix {
         }
     }
     coo.to_csr()
-}
-
-/// [`laplacian_2d_5pt`] paired with its [`StencilDescriptor`], verified
-/// against the assembled matrix — the input the matrix-free sweep tier
-/// wants. The verification is a debug assertion here because generator
-/// and descriptor are maintained together; hand-loaded matrices go
-/// through [`StencilDescriptor::verify`] themselves.
-pub fn laplacian_2d_5pt_stencil(m: usize) -> (CsrMatrix, StencilDescriptor) {
-    let a = laplacian_2d_5pt(m);
-    let d = StencilDescriptor::poisson_2d_5pt(m);
-    debug_assert!(d.verify(&a).is_ok());
-    (a, d)
-}
-
-/// [`laplacian_3d_7pt`] paired with its verified [`StencilDescriptor`]
-/// (see [`laplacian_2d_5pt_stencil`]).
-pub fn laplacian_3d_7pt_stencil(m: usize) -> (CsrMatrix, StencilDescriptor) {
-    let a = laplacian_3d_7pt(m);
-    let d = StencilDescriptor::poisson_3d_7pt(m);
-    debug_assert!(d.verify(&a).is_ok());
-    (a, d)
 }
 
 /// 2D 9-point (bilinear Q1 FEM) Laplacian on an `m x m` grid:

@@ -18,7 +18,9 @@
 //!   compute the `rho(B)` / condition-number columns of Table 1 ([`spectra`]),
 //! * row-block partitioning for the block-asynchronous method ([`partition`]),
 //! * precompiled block-local kernel plans — packed local/halo operators
-//!   with pre-inverted diagonals — for allocation-free sweeps ([`block_plan`]),
+//!   with pre-inverted diagonals — for allocation-free sweeps
+//!   ([`block_plan`]), with matrix-free runs for blocks whose rows repeat
+//!   one coefficient pattern ([`stencil`]),
 //! * reverse Cuthill–McKee reordering ([`reorder`]),
 //! * diagonal and tau-scaling ([`scaling`]),
 //! * MatrixMarket I/O ([`io`]).
@@ -52,7 +54,7 @@ pub use ell::EllMatrix;
 pub use iteration_matrix::IterationMatrix;
 pub use par::ParContext;
 pub use partition::RowPartition;
-pub use stencil::{GridShape, StencilBlock, StencilDescriptor, StencilTap};
+pub use stencil::StencilBlock;
 
 use std::fmt;
 
@@ -95,9 +97,6 @@ pub enum SparseError {
     },
     /// Generator parameter search failed (e.g. bisection bracket invalid).
     Generator(String),
-    /// A stencil descriptor was malformed or failed the cross-check
-    /// against an assembled matrix.
-    Stencil(String),
 }
 
 impl fmt::Display for SparseError {
@@ -117,7 +116,6 @@ impl fmt::Display for SparseError {
                 write!(f, "{what} did not converge within {iterations} iterations")
             }
             SparseError::Generator(msg) => write!(f, "generator error: {msg}"),
-            SparseError::Stencil(msg) => write!(f, "stencil error: {msg}"),
         }
     }
 }

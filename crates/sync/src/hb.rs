@@ -446,6 +446,13 @@ mod tests {
 
     #[test]
     fn hooks_are_inert_outside_sessions() {
+        // Keep other tests' sessions out while these hooks run: an armed
+        // session would record them as its own accesses and report
+        // races its test did not cause.
+        let _serial = SESSION
+            .get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         on_release(CELL);
         on_acquire(CELL);
         on_data_write(DATA, Access::WriteExcl);

@@ -121,7 +121,7 @@ fn cas_election_has_single_winner() {
 /// `Relaxed` write before the child exits is visible after `join`.
 #[test]
 fn join_merges_child_view() {
-    explore_seeded(0x10_1, 300, || {
+    explore_seeded(0x0101, 300, || {
         let data = Arc::new(SyncUsize::new(0));
         let d2 = Arc::clone(&data);
         let child = spawn(move || {
@@ -138,7 +138,7 @@ fn join_merges_child_view() {
 /// visible to the child from its first instruction.
 #[test]
 fn spawn_passes_parent_view() {
-    explore_seeded(0x20_2, 300, || {
+    explore_seeded(0x0202, 300, || {
         let data = Arc::new(SyncUsize::new(0));
         data.store(9, Ordering::Relaxed); // sync: ordered by the spawn edge
         let d2 = Arc::clone(&data);
@@ -156,7 +156,7 @@ fn spawn_passes_parent_view() {
 /// stale reads, modelling finite-time visibility on real hardware.
 #[test]
 fn relaxed_spin_wait_terminates() {
-    explore_seeded(0x30_3, 200, || {
+    explore_seeded(0x0303, 200, || {
         let flag = Arc::new(SyncBool::new(false));
         let f2 = Arc::clone(&flag);
         let setter = spawn(move || {
@@ -174,7 +174,7 @@ fn relaxed_spin_wait_terminates() {
 /// reported as a violation instead of hanging the test run.
 #[test]
 fn livelock_hits_step_budget() {
-    let outcome = explore_seeded(0x40_4, 1, || {
+    let outcome = explore_seeded(0x0404, 1, || {
         let flag = SyncBool::new(false);
         while !flag.load(Ordering::Relaxed) {
             // sync: test fixture — intentional livelock
@@ -188,7 +188,7 @@ fn livelock_hits_step_budget() {
 /// audit layer promises.
 #[test]
 fn events_are_recorded() {
-    let outcome = explore_seeded(0x50_5, 1, || {
+    let outcome = explore_seeded(0x0505, 1, || {
         let cell = SyncUsize::new(0);
         cell.store(3, Ordering::Release); // sync: test fixture — event recording
         assert_eq!(cell.load(Ordering::Acquire), 3); // sync: test fixture — event recording

@@ -12,9 +12,7 @@ use block_async_relax::gpu::{
     BlockKernel, BlockScratch, NoMonitor, PersistentExecutor, PersistentOptions,
     PersistentWorkspace, SimExecutor, SimOptions, XView,
 };
-use block_async_relax::sparse::gen::{
-    fv_stencil, laplacian_2d_5pt_stencil, laplacian_3d_7pt_stencil, random_diag_dominant,
-};
+use block_async_relax::sparse::gen::{fv, laplacian_2d_5pt, laplacian_3d_7pt, random_diag_dominant};
 use block_async_relax::sparse::{RowPartition, SweepTier};
 use proptest::prelude::*;
 
@@ -176,56 +174,66 @@ proptest! {
         }
     }
 
-    /// The matrix-free stencil tier against the stored-matrix plan path
-    /// on all three constant-coefficient generators (2D 5-point, 3D
-    /// 7-point, ungraded FV). The acceptance bar is 1 ulp; the tiers
-    /// share op order and bit-equal coefficients, so we assert the
-    /// stronger bitwise property — non-finite iterates included.
+    /// The matrix-free stencil tier the plan selects on its own, against
+    /// the same kernel forced onto packed CSR and against the span-sliced
+    /// reference, on all three constant-coefficient generators (2D
+    /// 5-point, 3D 7-point, ungraded FV). The block sizes keep at least
+    /// one block on the stencil tier; blocks the plan leaves on ELL are
+    /// compared too. The tiers share op order and use the stored
+    /// coefficients, so the property is bitwise — non-finite iterates
+    /// included.
     #[test]
     fn stencil_sweep_is_bit_identical_to_plan(
         which in 0usize..3,
-        block in 3usize..30,
+        block_pick in 0usize..64,
         k in 1usize..5,
         damp_percent in 50u64..150,
         seed in 0u64..100,
         poison_bit in 0usize..2,
     ) {
-        let (a, d) = match which {
-            0 => laplacian_2d_5pt_stencil(8),
-            1 => laplacian_3d_7pt_stencil(4),
-            _ => fv_stencil(7, 0.45).expect("constant-coefficient fv"),
+        let (a, block) = match which {
+            0 => (laplacian_2d_5pt(24), 48 + block_pick),
+            1 => (laplacian_3d_7pt(16), 56 + block_pick),
+            _ => (fv(20, 0.45, 0.0).expect("constant-coefficient fv"), 80 + block_pick),
         };
         let n = a.n_rows();
         let rhs = a.mul_vec(&pseudo_iterate(n, seed ^ 0x1d)).expect("square");
         let p = RowPartition::uniform(n, block).expect("partition");
         let damping = if damp_percent % 3 == 0 { 1.0 } else { damp_percent as f64 / 100.0 };
-        let k_sten = AsyncJacobiKernel::with_sweep_and_stencil(
-            &a, &rhs, &p, k, damping, LocalSweep::Jacobi, Some(&d),
-        )
-        .expect("verified stencil");
-        let k_plan = AsyncJacobiKernel::with_sweep(&a, &rhs, &p, k, damping, LocalSweep::Jacobi)
+        let k_auto = AsyncJacobiKernel::with_sweep(&a, &rhs, &p, k, damping, LocalSweep::Jacobi)
             .expect("diag dominant");
+        let mut k_csr = AsyncJacobiKernel::with_sweep(&a, &rhs, &p, k, damping, LocalSweep::Jacobi)
+            .expect("diag dominant");
+        k_csr.force_tier(Some(SweepTier::Csr));
         let mut x = pseudo_iterate(n, seed);
         if poison_bit == 1 {
             poison(&mut x, seed);
         }
         let mut s1 = BlockScratch::new();
         let mut s2 = BlockScratch::new();
-        for b in 0..k_sten.n_blocks() {
-            prop_assert_eq!(k_sten.resolved_tier(b), SweepTier::Stencil);
-            let (s, e) = k_sten.block_range(b);
-            let mut out_sten = vec![0.0; e - s];
-            let mut out_plan = vec![0.0; e - s];
-            k_sten.update_block_with(b, &XView::Plain(&x), &mut out_sten, &mut s1);
-            k_plan.update_block_with(b, &XView::Plain(&x), &mut out_plan, &mut s2);
-            for (li, (tv, pv)) in out_sten.iter().zip(&out_plan).enumerate() {
+        let mut stencil_blocks = 0;
+        for b in 0..k_auto.n_blocks() {
+            if k_auto.resolved_tier(b) == SweepTier::Stencil {
+                stencil_blocks += 1;
+            }
+            let (s, e) = k_auto.block_range(b);
+            let mut out_auto = vec![0.0; e - s];
+            let mut out_csr = vec![0.0; e - s];
+            let mut out_ref = vec![0.0; e - s];
+            k_auto.update_block_with(b, &XView::Plain(&x), &mut out_auto, &mut s1);
+            k_csr.update_block_with(b, &XView::Plain(&x), &mut out_csr, &mut s2);
+            k_auto.update_block_reference(b, &XView::Plain(&x), &mut out_ref);
+            for (li, ((tv, cv), rv)) in out_auto.iter().zip(&out_csr).zip(&out_ref).enumerate() {
                 prop_assert!(
-                    bits_eq(*tv, *pv),
-                    "generator {} row {} of block {} (k={}, tau={}, poisoned={}): {} vs {}",
-                    which, li, b, k, damping, poison_bit == 1, tv, pv
+                    bits_eq(*tv, *cv) && bits_eq(*tv, *rv),
+                    "generator {} row {} of block {} ({:?}, k={}, tau={}, poisoned={}): \
+                     {} vs csr {} vs reference {}",
+                    which, li, b, k_auto.resolved_tier(b), k, damping, poison_bit == 1,
+                    tv, cv, rv
                 );
             }
         }
+        prop_assert!(stencil_blocks > 0, "generator {} block {}: no stencil block", which, block);
     }
 }
 

@@ -159,10 +159,10 @@ proptest! {
         let n = 72;
         let a = random_diag_dominant(n, 5, 1.3, seed);
         let p = RowPartition::uniform(n, block).expect("partition");
-        let seq = BlockPlan::compile_with_ctx(&a, &p, None, ParContext::new(1))
+        let seq = BlockPlan::compile_with_ctx(&a, &p, ParContext::new(1))
             .expect("compile");
         for threads in [2usize, 5, 16] {
-            let par = BlockPlan::compile_with_ctx(&a, &p, None, ParContext::new(threads))
+            let par = BlockPlan::compile_with_ctx(&a, &p, ParContext::new(threads))
                 .expect("compile");
             prop_assert_eq!(&seq, &par, "threads {}", threads);
         }
