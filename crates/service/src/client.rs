@@ -53,10 +53,10 @@ impl Client {
         Client { addr, policy, jitter_state }
     }
 
-    fn roundtrip(&self, req: &Request) -> io::Result<Response> {
+    fn roundtrip(&self, payload: &str) -> io::Result<Response> {
         let mut stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        write_frame(&mut stream, &req.render())?;
+        write_frame(&mut stream, payload)?;
         let payload = read_frame(&mut stream)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed"))?;
         Response::parse(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -64,7 +64,7 @@ impl Client {
 
     /// One solve attempt, no retries.
     pub fn solve_once(&self, spec: &SolveSpec) -> io::Result<Response> {
-        self.roundtrip(&Request::Solve(spec.clone()))
+        self.roundtrip(&spec.render())
     }
 
     /// A solve with the retry loop: `Overloaded` responses are retried
@@ -106,17 +106,17 @@ impl Client {
 
     /// Cancels the in-flight solve submitted under `id`.
     pub fn cancel(&self, id: u64) -> io::Result<Response> {
-        self.roundtrip(&Request::Cancel { id })
+        self.roundtrip(&Request::Cancel { id }.render())
     }
 
     /// Liveness probe.
     pub fn ping(&self) -> io::Result<Response> {
-        self.roundtrip(&Request::Ping)
+        self.roundtrip(&Request::Ping.render())
     }
 
     /// Asks the daemon to begin its graceful drain.
     pub fn shutdown_daemon(&self) -> io::Result<Response> {
-        self.roundtrip(&Request::Shutdown)
+        self.roundtrip(&Request::Shutdown.render())
     }
 }
 

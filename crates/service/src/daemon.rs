@@ -25,12 +25,17 @@
 //!   the whole request in `catch_unwind`, converting the unwind into a
 //!   typed [`Response::Failed`] frame. The daemon never dies with a
 //!   tenant.
+//! * **Hostile frames** — a frame that does not parse (deep nesting,
+//!   bad numbers, wrong array lengths, anything) is answered with a
+//!   typed [`Response::Failed`] on its own connection; the codec's
+//!   bounds (see [`crate::wire`]) keep it from touching anything else.
 //! * **Graceful drain** — [`Daemon::shutdown`] stops accepting, lets
 //!   in-flight solves finish (or cancels them after the grace period, at
 //!   which point they deadline out within one monitor poll), joins every
 //!   connection thread, flushes metrics, and joins every pool worker,
 //!   returning the counts as a [`DrainReport`] — the structural
-//!   zero-leaked-threads accounting.
+//!   zero-leaked-threads accounting. Connection threads that finish
+//!   earlier are joined by the accept loop as it goes.
 
 use crate::cache::{solve_key, Begin, CachedSolve, SolveCache};
 use crate::wire::{write_frame, MatrixSpec, Mode, Request, Response, SolveSpec};
@@ -158,7 +163,8 @@ pub struct DrainReport {
     /// Pool worker threads joined (must equal the configured pool size
     /// the first time; 0 on repeat drains).
     pub workers_joined: usize,
-    /// Connection threads joined.
+    /// Connection threads joined, whether reaped by the accept loop
+    /// while the daemon ran or joined at drain.
     pub connections_joined: usize,
     /// Final lifecycle counters.
     pub counters: ServiceCounters,
@@ -182,7 +188,7 @@ struct Shared {
 /// [`shutdown`](Self::shutdown) leaks the accept thread — always drain.
 pub struct Daemon {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    accept: Option<JoinHandle<Accepted>>,
 }
 
 impl Daemon {
@@ -243,9 +249,9 @@ impl Daemon {
     /// every pool worker.
     pub fn shutdown(mut self, grace: Duration) -> DrainReport {
         self.shared.begin_shutdown();
-        let conns = match self.accept.take() {
+        let Accepted { reaped, live } = match self.accept.take() {
             Some(h) => h.join().expect("accept loop must not panic"),
-            None => Vec::new(),
+            None => Accepted { reaped: 0, live: Vec::new() },
         };
         // Grace window: wait for the cancel registry (live solves) to
         // empty on its own before forcing the stragglers out.
@@ -259,8 +265,8 @@ impl Daemon {
         for token in self.shared.registry.lock().unwrap().values() {
             token.cancel();
         }
-        let connections_joined = conns.len();
-        for c in conns {
+        let connections_joined = reaped + live.len();
+        for c in live {
             let _ = c.join(); // a panicked conn thread already sent Failed
         }
         self.shared.metrics.lock().unwrap().flush();
@@ -337,11 +343,26 @@ impl Shared {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>> {
+/// What the accept loop hands to drain: how many connection threads it
+/// already joined, and the handles of the rest.
+struct Accepted {
+    reaped: usize,
+    live: Vec<JoinHandle<()>>,
+}
+
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Accepted {
+    let mut reaped = 0;
     let mut conns = Vec::new();
     for stream in listener.incoming() {
         if shared.shutting_down() {
             break;
+        }
+        // Join the connection threads that have finished, so a served
+        // connection's thread (and its stack mapping) is released now
+        // rather than held until drain.
+        for done in conns.extract_if(.., |h: &mut JoinHandle<()>| h.is_finished()) {
+            let _ = done.join(); // a panicked conn thread already sent Failed
+            reaped += 1;
         }
         let Ok(stream) = stream else { continue };
         let conn_shared = Arc::clone(&shared);
@@ -353,7 +374,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
             Err(e) => eprintln!("abr-serve: could not spawn connection thread: {e}"),
         }
     }
-    conns
+    Accepted { reaped, live: conns }
 }
 
 /// Reads one frame, polling the shutdown flag while the connection is
@@ -474,11 +495,14 @@ impl Drop for Registered<'_> {
     }
 }
 
-fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
+fn solve_request(shared: &Shared, mut spec: SolveSpec) -> Response {
     let id = spec.id;
 
     // -- Validation (typed failures; retrying cannot help) --------------
-    let n = spec.matrix.n_rows();
+    let Some(n) = spec.matrix.checked_rows() else {
+        shared.count(|c| c.failed += 1);
+        return Response::Failed { id, error: "lap2d grid side overflows its row count".into() };
+    };
     if n == 0 {
         shared.count(|c| c.failed += 1);
         return Response::Failed { id, error: "empty system".into() };
@@ -493,15 +517,17 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
             ),
         };
     }
-    let a: CsrMatrix = match &spec.matrix {
+    // The parsed arrays move into the matrix; the spec keeps only its
+    // scalars and the matrix kind.
+    let a: CsrMatrix = match &mut spec.matrix {
         MatrixSpec::Lap2d { g } => gen::laplacian_2d_5pt(*g),
         MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => {
             match CsrMatrix::from_raw(
                 *n_rows,
                 *n_cols,
-                row_ptr.clone(),
-                col_idx.clone(),
-                values.clone(),
+                std::mem::take(row_ptr),
+                std::mem::take(col_idx),
+                std::mem::take(values),
             ) {
                 Ok(a) => a,
                 Err(e) => {
@@ -518,8 +544,8 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
             error: format!("system must be square, got {} x {}", a.n_rows(), a.n_cols()),
         };
     }
-    let rhs = match &spec.rhs {
-        Some(r) if r.len() == n => r.clone(),
+    let rhs = match spec.rhs.take() {
+        Some(r) if r.len() == n => r,
         Some(r) => {
             shared.count(|c| c.failed += 1);
             return Response::Failed {

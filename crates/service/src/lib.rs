@@ -4,9 +4,12 @@
 //!
 //! A multi-tenant solve service on top of the block-asynchronous
 //! relaxation fabric: a long-lived daemon accepting concurrent solve
-//! requests over a hand-rolled length-prefixed JSON wire protocol and
-//! multiplexing them onto **one shared persistent-worker pool**
-//! ([`abr_gpu::WorkerPool`]).
+//! requests over a length-prefixed JSON wire protocol and multiplexing
+//! them onto **one shared persistent-worker pool**
+//! ([`abr_gpu::WorkerPool`]). The frames go through a typed, bounded
+//! codec ([`wire`]): rendered straight from the typed fields, parsed in
+//! one non-recursive pass straight back into them, integers exact,
+//! non-finite numbers rejected.
 //!
 //! The paper's method tolerates chaos *inside* a solve (stale reads,
 //! uneven progress, dead workers — §4.5); this crate applies the same
@@ -29,8 +32,8 @@
 
 pub mod cache;
 pub mod client;
+mod codec;
 pub mod daemon;
-pub mod json;
 pub mod wire;
 
 pub use cache::{solve_key, Begin, CachedSolve, SolveCache};

@@ -8,8 +8,16 @@
 //! up front: a prefix larger than [`MAX_FRAME`] is rejected before any
 //! payload is read, so a malformed or hostile client cannot balloon the
 //! daemon. See DESIGN.md §10 for the frame table.
+//!
+//! The frames are rendered and parsed by a typed codec (`codec.rs`):
+//! `render` writes one pre-sized `String` straight from the typed
+//! fields, and `parse` decodes the payload in one pass straight into
+//! them, number arrays into `Vec<f64>`/`Vec<usize>`. The parser never
+//! recurses past the schema's fixed depth, reads integers exactly into
+//! `u64`, rejects non-finite numbers, and takes time linear in the
+//! payload, so no frame can take the daemon down.
 
-use crate::json::{num_arr, obj, usize_arr, Value};
+use crate::codec::{clip, Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on a frame payload (64 MiB): large enough for a
@@ -77,51 +85,84 @@ pub enum MatrixSpec {
 }
 
 impl MatrixSpec {
-    /// Row count of the described system.
+    /// Row count of the described system. A `lap2d` grid whose `g*g`
+    /// overflows saturates at `usize::MAX`, which no row cap admits.
     pub fn n_rows(&self) -> usize {
+        self.checked_rows().unwrap_or(usize::MAX)
+    }
+
+    /// Row count, or `None` when a `lap2d` grid's `g*g` overflows.
+    pub(crate) fn checked_rows(&self) -> Option<usize> {
         match self {
-            MatrixSpec::Lap2d { g } => g * g,
-            MatrixSpec::Csr { n_rows, .. } => *n_rows,
+            MatrixSpec::Lap2d { g } => g.checked_mul(*g),
+            MatrixSpec::Csr { n_rows, .. } => Some(*n_rows),
         }
     }
 
-    fn to_value(&self) -> Value {
+    fn write(&self, w: &mut Writer) {
+        w.open("matrix");
         match self {
-            MatrixSpec::Lap2d { g } => obj(vec![
-                ("gen", Value::Str("lap2d".into())),
-                ("g", Value::Num(*g as f64)),
-            ]),
-            MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => obj(vec![
-                ("n_rows", Value::Num(*n_rows as f64)),
-                ("n_cols", Value::Num(*n_cols as f64)),
-                ("row_ptr", usize_arr(row_ptr)),
-                ("col_idx", usize_arr(col_idx)),
-                ("values", num_arr(values)),
-            ]),
+            MatrixSpec::Lap2d { g } => {
+                w.str("gen", "lap2d");
+                w.u64("g", *g as u64);
+            }
+            MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => {
+                w.u64("n_rows", *n_rows as u64);
+                w.u64("n_cols", *n_cols as u64);
+                w.usizes("row_ptr", row_ptr);
+                w.usizes("col_idx", col_idx);
+                w.f64s("values", values);
+            }
+        }
+        w.close();
+    }
+
+    /// Rendered size estimate: ~24 bytes per float, ~8 per index.
+    fn frame_bytes(&self) -> usize {
+        match self {
+            MatrixSpec::Lap2d { .. } => 64,
+            MatrixSpec::Csr { row_ptr, col_idx, values, .. } => {
+                96 + 8 * (row_ptr.len() + col_idx.len()) + 24 * values.len()
+            }
         }
     }
 
-    fn from_value(v: &Value) -> Result<MatrixSpec, String> {
-        if let Some(kind) = v.get("gen").and_then(Value::as_str) {
-            return match kind {
-                "lap2d" => {
-                    let g = v
-                        .get("g")
-                        .and_then(Value::as_u64)
-                        .ok_or("lap2d needs integer `g`")? as usize;
-                    Ok(MatrixSpec::Lap2d { g })
-                }
-                other => Err(format!("unknown generator `{other}`")),
+    fn read(r: &mut Reader<'_>) -> Result<MatrixSpec, String> {
+        let (mut gen, mut g, mut n_rows, mut n_cols) = (None, None, None, None);
+        let (mut row_ptr, mut col_idx, mut values) = (None, None, None);
+        r.object(|r, key| match key {
+            "gen" => put(&mut gen, key, r.string()),
+            "g" => put(&mut g, key, r.usize()),
+            "n_rows" => put(&mut n_rows, key, r.usize()),
+            "n_cols" => put(&mut n_cols, key, r.usize()),
+            "row_ptr" => put(&mut row_ptr, key, r.array(Reader::usize)),
+            "col_idx" => put(&mut col_idx, key, r.array(Reader::usize)),
+            "values" => put(&mut values, key, r.array(Reader::f64)),
+            _ => r.skip(),
+        })?;
+        if let Some(kind) = gen {
+            return match &*kind {
+                "lap2d" => Ok(MatrixSpec::Lap2d { g: g.ok_or("lap2d needs integer `g`")? }),
+                other => Err(format!("unknown generator `{}`", clip(other))),
             };
         }
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("matrix missing `{k}`"));
         Ok(MatrixSpec::Csr {
-            n_rows: field("n_rows")?.as_u64().ok_or("bad n_rows")? as usize,
-            n_cols: field("n_cols")?.as_u64().ok_or("bad n_cols")? as usize,
-            row_ptr: field("row_ptr")?.as_usize_vec().ok_or("bad row_ptr")?,
-            col_idx: field("col_idx")?.as_usize_vec().ok_or("bad col_idx")?,
-            values: field("values")?.as_f64_vec().ok_or("bad values")?,
+            n_rows: n_rows.ok_or("matrix missing `n_rows`")?,
+            n_cols: n_cols.ok_or("matrix missing `n_cols`")?,
+            row_ptr: row_ptr.ok_or("matrix missing `row_ptr`")?,
+            col_idx: col_idx.ok_or("matrix missing `col_idx`")?,
+            values: values.ok_or("matrix missing `values`")?,
         })
+    }
+}
+
+/// Stores one decoded field, naming it in any error. A repeated key is
+/// an error rather than a silent overwrite.
+fn put<T>(slot: &mut Option<T>, key: &str, v: Result<T, String>) -> Result<(), String> {
+    let v = v.map_err(|e| format!("bad `{key}`: {e}"))?;
+    match slot.replace(v) {
+        None => Ok(()),
+        Some(_) => Err(format!("duplicate key `{key}`")),
     }
 }
 
@@ -149,7 +190,7 @@ impl Mode {
         match s {
             "sim" => Ok(Mode::Sim),
             "pooled" => Ok(Mode::Pooled),
-            other => Err(format!("unknown mode `{other}`")),
+            other => Err(format!("unknown mode `{}`", clip(other))),
         }
     }
 }
@@ -202,6 +243,30 @@ impl SolveSpec {
             cache: true,
         }
     }
+
+    /// The `solve` frame payload, rendered from a borrowed spec (the
+    /// client sends it without building a [`Request`]).
+    pub(crate) fn render(&self) -> String {
+        let rhs_len = self.rhs.as_ref().map_or(0, Vec::len);
+        let mut w = Writer::new("solve", 256 + self.matrix.frame_bytes() + 24 * rhs_len);
+        w.u64("id", self.id);
+        self.matrix.write(&mut w);
+        w.f64("tol", self.tol);
+        w.u64("max_iters", self.max_iters as u64);
+        w.u64("local_iters", self.local_iters as u64);
+        w.u64("block", self.block as u64);
+        w.str("mode", self.mode.as_str());
+        w.u64("workers", self.workers as u64);
+        w.u64("seed", self.seed);
+        w.bool("cache", self.cache);
+        if let Some(rhs) = &self.rhs {
+            w.f64s("rhs", rhs);
+        }
+        if let Some(d) = self.deadline_ms {
+            w.u64("deadline_ms", d);
+        }
+        w.finish()
+    }
 }
 
 /// A client → daemon frame.
@@ -224,73 +289,61 @@ impl Request {
     /// Renders the frame payload.
     pub fn render(&self) -> String {
         match self {
-            Request::Ping => obj(vec![("type", Value::Str("ping".into()))]).render(),
-            Request::Shutdown => obj(vec![("type", Value::Str("shutdown".into()))]).render(),
-            Request::Cancel { id } => obj(vec![
-                ("type", Value::Str("cancel".into())),
-                ("id", Value::Num(*id as f64)),
-            ])
-            .render(),
-            Request::Solve(s) => {
-                let mut fields = vec![
-                    ("type", Value::Str("solve".into())),
-                    ("id", Value::Num(s.id as f64)),
-                    ("matrix", s.matrix.to_value()),
-                    ("tol", Value::Num(s.tol)),
-                    ("max_iters", Value::Num(s.max_iters as f64)),
-                    ("local_iters", Value::Num(s.local_iters as f64)),
-                    ("block", Value::Num(s.block as f64)),
-                    ("mode", Value::Str(s.mode.as_str().into())),
-                    ("workers", Value::Num(s.workers as f64)),
-                    ("seed", Value::Num(s.seed as f64)),
-                    ("cache", Value::Bool(s.cache)),
-                ];
-                if let Some(rhs) = &s.rhs {
-                    fields.push(("rhs", num_arr(rhs)));
-                }
-                if let Some(d) = s.deadline_ms {
-                    fields.push(("deadline_ms", Value::Num(d as f64)));
-                }
-                obj(fields).render()
+            Request::Ping => Writer::new("ping", 16).finish(),
+            Request::Shutdown => Writer::new("shutdown", 20).finish(),
+            Request::Cancel { id } => {
+                let mut w = Writer::new("cancel", 48);
+                w.u64("id", *id);
+                w.finish()
             }
+            Request::Solve(s) => s.render(),
         }
     }
 
-    /// Parses a frame payload.
+    /// Parses a frame payload. Keys may come in any order; unknown keys
+    /// are skipped and a `null` value counts as absent.
     pub fn parse(payload: &str) -> Result<Request, String> {
-        let v = Value::parse(payload)?;
-        let ty = v.get("type").and_then(Value::as_str).ok_or("frame missing `type`")?;
-        match ty {
+        let (mut ty, mut id, mut matrix, mut rhs, mut tol) = (None, None, None, None, None);
+        let (mut max_iters, mut local_iters, mut block, mut mode) = (None, None, None, None);
+        let (mut workers, mut deadline_ms, mut seed, mut cache) = (None, None, None, None);
+        let mut r = Reader::new(payload);
+        r.object(|r, key| match key {
+            "type" => put(&mut ty, key, r.string()),
+            "id" => put(&mut id, key, r.u64()),
+            // The matrix's own errors already name their field.
+            "matrix" => MatrixSpec::read(r).and_then(|m| put(&mut matrix, key, Ok(m))),
+            "rhs" => put(&mut rhs, key, r.array(Reader::f64)),
+            "tol" => put(&mut tol, key, r.f64()),
+            "max_iters" => put(&mut max_iters, key, r.usize()),
+            "local_iters" => put(&mut local_iters, key, r.usize()),
+            "block" => put(&mut block, key, r.usize()),
+            "mode" => put(&mut mode, key, r.string().and_then(|m| Mode::parse(&m))),
+            "workers" => put(&mut workers, key, r.usize()),
+            "deadline_ms" => put(&mut deadline_ms, key, r.u64()),
+            "seed" => put(&mut seed, key, r.u64()),
+            "cache" => put(&mut cache, key, r.bool()),
+            _ => r.skip(),
+        })?;
+        r.end()?;
+        match &*ty.ok_or("frame missing `type`")? {
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
-            "cancel" => Ok(Request::Cancel {
-                id: v.get("id").and_then(Value::as_u64).ok_or("cancel needs `id`")?,
-            }),
-            "solve" => {
-                let num = |k: &str| v.get(k).and_then(Value::as_u64);
-                Ok(Request::Solve(SolveSpec {
-                    id: num("id").ok_or("solve needs `id`")?,
-                    matrix: MatrixSpec::from_value(
-                        v.get("matrix").ok_or("solve needs `matrix`")?,
-                    )?,
-                    rhs: match v.get("rhs") {
-                        Some(r) => Some(r.as_f64_vec().ok_or("bad rhs")?),
-                        None => None,
-                    },
-                    tol: v.get("tol").and_then(Value::as_f64).ok_or("solve needs `tol`")?,
-                    max_iters: num("max_iters").ok_or("solve needs `max_iters`")? as usize,
-                    local_iters: num("local_iters").unwrap_or(1) as usize,
-                    block: num("block").ok_or("solve needs `block`")? as usize,
-                    mode: Mode::parse(
-                        v.get("mode").and_then(Value::as_str).unwrap_or("sim"),
-                    )?,
-                    workers: num("workers").unwrap_or(1) as usize,
-                    deadline_ms: num("deadline_ms"),
-                    seed: num("seed").unwrap_or(0),
-                    cache: v.get("cache").and_then(Value::as_bool).unwrap_or(true),
-                }))
-            }
-            other => Err(format!("unknown request type `{other}`")),
+            "cancel" => Ok(Request::Cancel { id: id.ok_or("cancel needs `id`")? }),
+            "solve" => Ok(Request::Solve(SolveSpec {
+                id: id.ok_or("solve needs `id`")?,
+                matrix: matrix.ok_or("solve needs `matrix`")?,
+                rhs,
+                tol: tol.ok_or("solve needs `tol`")?,
+                max_iters: max_iters.ok_or("solve needs `max_iters`")?,
+                local_iters: local_iters.unwrap_or(1),
+                block: block.ok_or("solve needs `block`")?,
+                mode: mode.unwrap_or(Mode::Sim),
+                workers: workers.unwrap_or(1),
+                deadline_ms,
+                seed: seed.unwrap_or(0),
+                cache: cache.unwrap_or(true),
+            })),
+            other => Err(format!("unknown request type `{}`", clip(other))),
         }
     }
 }
@@ -357,75 +410,83 @@ pub enum Response {
 impl Response {
     /// Renders the frame payload.
     pub fn render(&self) -> String {
-        let tagged = |t: &str, rest: Vec<(&str, Value)>| {
-            let mut fields = vec![("type", Value::Str(t.into()))];
-            fields.extend(rest);
-            obj(fields).render()
+        // Every reply but the three acknowledgements echoes its id first.
+        let with_id = |ty: &str, id: u64, capacity: usize| {
+            let mut w = Writer::new(ty, capacity);
+            w.u64("id", id);
+            w
         };
-        match self {
-            Response::Ok => tagged("ok", vec![]),
-            Response::Pong => tagged("pong", vec![]),
-            Response::ShuttingDown => tagged("shutting_down", vec![]),
-            Response::Overloaded { id, retry_after_ms } => tagged(
-                "overloaded",
-                vec![
-                    ("id", Value::Num(*id as f64)),
-                    ("retry_after_ms", Value::Num(*retry_after_ms as f64)),
-                ],
-            ),
-            Response::Cancelled { id, iterations } => tagged(
-                "cancelled",
-                vec![
-                    ("id", Value::Num(*id as f64)),
-                    ("iterations", Value::Num(*iterations as f64)),
-                ],
-            ),
-            Response::DeadlineExceeded { id, iterations } => tagged(
-                "deadline_exceeded",
-                vec![
-                    ("id", Value::Num(*id as f64)),
-                    ("iterations", Value::Num(*iterations as f64)),
-                ],
-            ),
-            Response::Failed { id, error } => tagged(
-                "failed",
-                vec![("id", Value::Num(*id as f64)), ("error", Value::Str(error.clone()))],
-            ),
-            Response::Done { id, x, iterations, converged, final_residual, cached, coalesced, chaos } => {
-                tagged(
-                    "done",
-                    vec![
-                        ("id", Value::Num(*id as f64)),
-                        ("iterations", Value::Num(*iterations as f64)),
-                        ("converged", Value::Bool(*converged)),
-                        ("final_residual", Value::Num(*final_residual)),
-                        ("cached", Value::Bool(*cached)),
-                        ("coalesced", Value::Bool(*coalesced)),
-                        ("chaos", Value::Bool(*chaos)),
-                        ("x", num_arr(x)),
-                    ],
-                )
+        let w = match self {
+            Response::Ok => Writer::new("ok", 16),
+            Response::Pong => Writer::new("pong", 16),
+            Response::ShuttingDown => Writer::new("shutting_down", 32),
+            Response::Overloaded { id, retry_after_ms } => {
+                let mut w = with_id("overloaded", *id, 64);
+                w.u64("retry_after_ms", *retry_after_ms);
+                w
             }
-        }
+            Response::Cancelled { id, iterations } => {
+                let mut w = with_id("cancelled", *id, 64);
+                w.u64("iterations", *iterations as u64);
+                w
+            }
+            Response::DeadlineExceeded { id, iterations } => {
+                let mut w = with_id("deadline_exceeded", *id, 64);
+                w.u64("iterations", *iterations as u64);
+                w
+            }
+            Response::Failed { id, error } => {
+                let mut w = with_id("failed", *id, 64 + 2 * error.len());
+                w.str("error", error);
+                w
+            }
+            Response::Done {
+                id, x, iterations, converged, final_residual, cached, coalesced, chaos,
+            } => {
+                let mut w = with_id("done", *id, 160 + 24 * x.len());
+                w.u64("iterations", *iterations as u64);
+                w.bool("converged", *converged);
+                w.f64("final_residual", *final_residual);
+                w.bool("cached", *cached);
+                w.bool("coalesced", *coalesced);
+                w.bool("chaos", *chaos);
+                w.f64s("x", x);
+                w
+            }
+        };
+        w.finish()
     }
 
-    /// Parses a frame payload.
+    /// Parses a frame payload (same key rules as [`Request::parse`]).
     pub fn parse(payload: &str) -> Result<Response, String> {
-        let v = Value::parse(payload)?;
-        let ty = v.get("type").and_then(Value::as_str).ok_or("frame missing `type`")?;
-        let id = || v.get("id").and_then(Value::as_u64).ok_or("missing `id`");
-        let iters =
-            || v.get("iterations").and_then(Value::as_u64).map(|u| u as usize).ok_or("missing `iterations`");
-        match ty {
+        let (mut ty, mut id, mut x, mut iterations, mut converged) = (None, None, None, None, None);
+        let (mut final_residual, mut cached, mut coalesced, mut chaos) = (None, None, None, None);
+        let (mut retry_after_ms, mut error) = (None, None);
+        let mut r = Reader::new(payload);
+        r.object(|r, key| match key {
+            "type" => put(&mut ty, key, r.string()),
+            "id" => put(&mut id, key, r.u64()),
+            "x" => put(&mut x, key, r.array(Reader::f64)),
+            "iterations" => put(&mut iterations, key, r.usize()),
+            "converged" => put(&mut converged, key, r.bool()),
+            "final_residual" => put(&mut final_residual, key, r.f64()),
+            "cached" => put(&mut cached, key, r.bool()),
+            "coalesced" => put(&mut coalesced, key, r.bool()),
+            "chaos" => put(&mut chaos, key, r.bool()),
+            "retry_after_ms" => put(&mut retry_after_ms, key, r.u64()),
+            "error" => put(&mut error, key, r.string()),
+            _ => r.skip(),
+        })?;
+        r.end()?;
+        let id = || id.ok_or("missing `id`");
+        let iters = || iterations.ok_or("missing `iterations`");
+        match &*ty.ok_or("frame missing `type`")? {
             "ok" => Ok(Response::Ok),
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown),
             "overloaded" => Ok(Response::Overloaded {
                 id: id()?,
-                retry_after_ms: v
-                    .get("retry_after_ms")
-                    .and_then(Value::as_u64)
-                    .ok_or("overloaded needs `retry_after_ms`")?,
+                retry_after_ms: retry_after_ms.ok_or("overloaded needs `retry_after_ms`")?,
             }),
             "cancelled" => Ok(Response::Cancelled { id: id()?, iterations: iters()? }),
             "deadline_exceeded" => {
@@ -433,26 +494,19 @@ impl Response {
             }
             "failed" => Ok(Response::Failed {
                 id: id()?,
-                error: v
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .ok_or("failed needs `error`")?
-                    .to_string(),
+                error: error.ok_or("failed needs `error`")?.into_owned(),
             }),
             "done" => Ok(Response::Done {
                 id: id()?,
                 iterations: iters()?,
-                converged: v.get("converged").and_then(Value::as_bool).ok_or("missing `converged`")?,
-                final_residual: v
-                    .get("final_residual")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(f64::NAN),
-                cached: v.get("cached").and_then(Value::as_bool).unwrap_or(false),
-                coalesced: v.get("coalesced").and_then(Value::as_bool).unwrap_or(false),
-                chaos: v.get("chaos").and_then(Value::as_bool).unwrap_or(false),
-                x: v.get("x").and_then(Value::as_f64_vec).ok_or("missing `x`")?,
+                converged: converged.ok_or("missing `converged`")?,
+                final_residual: final_residual.unwrap_or(f64::NAN),
+                cached: cached.unwrap_or(false),
+                coalesced: coalesced.unwrap_or(false),
+                chaos: chaos.unwrap_or(false),
+                x: x.ok_or("missing `x`")?,
             }),
-            other => Err(format!("unknown response type `{other}`")),
+            other => Err(format!("unknown response type `{}`", clip(other))),
         }
     }
 }
